@@ -33,7 +33,9 @@ __all__ = [
     "stage_gates",
     "run_stage_gates",
     "measure_control",
+    "sample_control",
     "reprepare_control",
+    "plus_control",
     "reference_distribution",
 ]
 
@@ -163,7 +165,10 @@ def phase_correction_angle(bits, s: int) -> float:
     """Accumulated correction angle theta_s in [0, 1) turns for stage s.
 
     theta_s = sum_{k=2}^{s+1} m_{s+1-k} / 2^k, so the gate applied is
-    diag(1, exp(-2 pi i theta_s)) on the control qubit.
+    diag(1, exp(-2 pi i theta_s)) on the control qubit.  Each entry of
+    `bits` may also be a vector holding that bit for every run of a
+    stack, giving one angle per run; the terms are dyadic rationals, so
+    the sum is exact in any order.
     """
     if s < 0 or len(bits) < s:
         raise ValueError("need at least s measured bits")
@@ -173,42 +178,46 @@ def phase_correction_angle(bits, s: int) -> float:
     return theta
 
 
+# The gate kernels act on one state or on a stack of states along leading
+# axes, and treat every member exactly as they would treat it alone.
+
+
 def _apply_modmult(rho: np.ndarray, inv_perm: np.ndarray) -> np.ndarray:
     # Permutation conjugation by row/column gather; exact, no hermitization needed.
-    return rho[np.ix_(inv_perm, inv_perm)]
+    return rho[..., inv_perm[:, None], inv_perm]
 
 
-def _apply_control_phase(rho: np.ndarray, theta: float) -> np.ndarray:
-    """diag(1, exp(-2 pi i theta)) on the control qubit."""
-    half = rho.shape[0] // 2
+def _apply_control_phase(rho: np.ndarray, theta) -> np.ndarray:
+    """diag(1, exp(-2 pi i theta)) on the control qubit; theta may be per member."""
+    half = rho.shape[-1] // 2
     out = rho.copy()
-    phase = np.exp(-2j * np.pi * theta)
-    out[half:, :half] *= phase
-    out[:half, half:] *= np.conj(phase)
+    phase = np.exp(-2j * np.pi * np.asarray(theta))[..., None, None]
+    out[..., half:, :half] *= phase
+    out[..., :half, half:] *= np.conj(phase)
     return out
 
 
 def _apply_control_hadamard(rho: np.ndarray) -> np.ndarray:
-    half = rho.shape[0] // 2
-    a = rho[:half, :half]
-    b = rho[:half, half:]
-    c = rho[half:, :half]
-    d = rho[half:, half:]
+    half = rho.shape[-1] // 2
+    a = rho[..., :half, :half]
+    b = rho[..., :half, half:]
+    c = rho[..., half:, :half]
+    d = rho[..., half:, half:]
     out = np.empty_like(rho)
-    out[:half, :half] = (a + b + c + d) * 0.5
-    out[:half, half:] = (a - b + c - d) * 0.5
-    out[half:, :half] = (a + b - c - d) * 0.5
-    out[half:, half:] = (a - b - c + d) * 0.5
+    out[..., :half, :half] = (a + b + c + d) * 0.5
+    out[..., :half, half:] = (a - b + c - d) * 0.5
+    out[..., half:, :half] = (a + b - c - d) * 0.5
+    out[..., half:, half:] = (a - b - c + d) * 0.5
     return out
 
 
 def _apply_control_flip(rho: np.ndarray) -> np.ndarray:
-    half = rho.shape[0] // 2
+    half = rho.shape[-1] // 2
     out = np.empty_like(rho)
-    out[:half, :half] = rho[half:, half:]
-    out[half:, half:] = rho[:half, :half]
-    out[:half, half:] = rho[half:, :half]
-    out[half:, :half] = rho[:half, half:]
+    out[..., :half, :half] = rho[..., half:, half:]
+    out[..., half:, half:] = rho[..., :half, :half]
+    out[..., :half, half:] = rho[..., half:, :half]
+    out[..., half:, :half] = rho[..., :half, half:]
     return out
 
 
@@ -230,6 +239,8 @@ def stage_gates(inst: ShorInstance, s: int, bits):
 
     The phase correction appears from the second stage onward, matching
     the displayed circuit; its angle at stage 0 would be zero anyway.
+    With per-run bit vectors (see phase_correction_angle) the gates act on
+    a stack of runs, each with its own phase.
     """
     if not 0 <= s < inst.L:
         raise ValueError(f"stage {s} outside 0..{inst.L - 1}")
@@ -257,6 +268,13 @@ def run_stage_gates(state: ComputerState, s: int, inst: ShorInstance) -> Compute
     return ComputerState(rho=rho, stage=state.stage, bits=state.bits)
 
 
+def _control_probabilities(rho: np.ndarray):
+    """p0 and p1 of the control, from the diagonal of one state or a stack."""
+    half = rho.shape[-1] // 2
+    diag = np.real(np.diagonal(rho, axis1=-2, axis2=-1))
+    return diag[..., :half].sum(axis=-1), diag[..., half:].sum(axis=-1)
+
+
 def measure_control(state: ComputerState):
     """Projective measurement of the control in the computational basis.
 
@@ -265,9 +283,7 @@ def measure_control(state: ComputerState):
     """
     rho = state.rho
     half = rho.shape[0] // 2
-    diag = np.real(np.diag(rho))
-    p0 = float(diag[:half].sum())
-    p1 = float(diag[half:].sum())
+    p0, p1 = (float(p) for p in _control_probabilities(rho))
     if p0 < DEAD_BRANCH_TOL and p1 < DEAD_BRANCH_TOL:
         raise ValueError("both measurement outcomes have zero probability")
 
@@ -280,6 +296,25 @@ def measure_control(state: ComputerState):
         return ComputerState(rho=out, stage=state.stage + 1, bits=state.bits + (bit,))
 
     return (p0, collapse(0, p0)), (p1, collapse(1, p1))
+
+
+def sample_control(rho: np.ndarray, draws: np.ndarray):
+    """Measure the control of every state of a (B, d, d) stack by sampling.
+
+    Run i takes outcome 0 when draws[i] < p0, by the rules of
+    measure_control: a dead outcome (probability below DEAD_BRANCH_TOL) is
+    never chosen, and a state whose outcomes are both dead raises.
+    Returns the outcome bits and the kept work blocks, each divided by its
+    own probability: the (B, d/2, d/2) stack of sigma in |bit><bit| (x) sigma.
+    """
+    p0, p1 = _control_probabilities(rho)
+    dead0, dead1 = p0 < DEAD_BRANCH_TOL, p1 < DEAD_BRANCH_TOL
+    if np.any(dead0 & dead1):
+        raise ValueError("both measurement outcomes have zero probability")
+    bits = np.where(dead1 | (~dead0 & (draws < p0)), 0, 1)
+    half = rho.shape[-1] // 2
+    blocks = rho.reshape(-1, 2, half, 2, half)[np.arange(bits.size), bits, :, bits, :]
+    return bits, blocks / np.where(bits, p1, p0)[:, None, None]
 
 
 def reprepare_control(state: ComputerState, epsilon: float = 0.0) -> ComputerState:
@@ -296,6 +331,17 @@ def reprepare_control(state: ComputerState, epsilon: float = 0.0) -> ComputerSta
         rho = _apply_control_flip(rho)
     rho = _mix_and_hadamard_control(rho, epsilon)
     return ComputerState(rho=rho, stage=state.stage, bits=state.bits)
+
+
+def plus_control(sigma: np.ndarray) -> np.ndarray:
+    """|+><+| (x) sigma, i.e. 1/2 [[sigma, sigma], [sigma, sigma]], per stack member.
+
+    Equals reprepare_control with epsilon = 0 applied to the measured
+    state |bit><bit| (x) sigma, whichever the bit.
+    """
+    lead, half = sigma.shape[:-2], sigma.shape[-1]
+    tiled = np.broadcast_to((sigma * 0.5)[..., None, :, None, :], lead + (2, half, 2, half))
+    return tiled.reshape(lead + (2 * half, 2 * half))
 
 
 def reference_distribution(inst: ShorInstance, kind: InitialStateKind) -> np.ndarray:

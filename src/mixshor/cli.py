@@ -49,10 +49,10 @@ def _parse_values(text: str) -> list[float]:
         if step <= 0:
             raise ValueError("range step must be positive")
         values = []
-        v = start
-        while v <= stop + 1e-12:
+        i = 0
+        while (v := start + i * step) <= stop + 1e-12:
             values.append(round(v, 12))
-            v += step
+            i += 1
         return values
     return [float(p) for p in text.split(",") if p]
 

@@ -85,7 +85,14 @@ def _hermitize(mat: np.ndarray) -> np.ndarray:
 
 
 def assert_valid_state(rho: np.ndarray, context: str = "") -> None:
-    """Check the density-matrix invariants: Hermitian, unit trace, PSD."""
+    """Check the density-matrix invariants: Hermitian, unit trace, PSD.
+
+    A stack of states along leading axes is checked member by member.
+    """
+    if rho.ndim > 2:
+        for member in rho.reshape((-1,) + rho.shape[-2:]):
+            assert_valid_state(member, context)
+        return
     tag = f" ({context})" if context else ""
     if not is_hermitian(rho):
         raise ValueError(f"state is not Hermitian within {HERMITICITY_TOL}{tag}")

@@ -3,20 +3,19 @@
 The tree runner enumerates every measurement branch with its path
 probability, giving exact stage averages and the exact outcome
 distribution; Monte Carlo trajectories sample measurement results and
-noise events instead.  Branches, ensemble members and sweep grid points
-are independent, and all reductions happen in a fixed order so results
-do not depend on scheduling.
+noise events instead.  Monte Carlo runs are stepped together as stacked
+(B, d, d) states in chunks of a fixed byte budget, and run i draws only
+from its own (seed, i) stream, so its outcome does not depend on which
+runs share its chunk.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import circuit, entanglement, numtheory
+from . import circuit, densemat, entanglement, numtheory
 from .circuit import ComputerState, InitialStateKind, ShorInstance
 from .noise import NoiseConfig, noise_pass
 
@@ -39,7 +38,9 @@ __all__ = [
     "find_entanglement_crossing",
 ]
 
-MAX_TREE_QUBITS = 7
+# Byte budget of one stacked (B, d, d) complex state in a Monte Carlo
+# chunk: B = 8 runs at d = 32, 2 at d = 64.
+CHUNK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -87,22 +88,6 @@ class TreeResult:
     def whole_run_average_entanglement(self) -> float:
         """Mean avg_logneg over all sampling points, equal weights."""
         return float(np.mean([r.avg_logneg for r in self.reports]))
-
-
-def _worker_count() -> int:
-    env = os.environ.get("MIXSHOR_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def _map_ordered(fn, items):
-    items = list(items)
-    workers = min(_worker_count(), len(items))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _collapsed_work_block(state: ComputerState) -> np.ndarray:
@@ -154,8 +139,6 @@ def _tree_run(
     epsilon: float,
     collect: bool,
 ) -> TreeResult:
-    if inst.m > MAX_TREE_QUBITS:
-        raise ValueError(f"tree simulation limited to {MAX_TREE_QUBITS} qubits")
     branches = [BranchNode(circuit.initial_state(inst, kind, epsilon), 1.0)]
     reports: list[StageReport] = []
     for s in range(inst.L):
@@ -239,7 +222,7 @@ def ensemble_profile(bits: int, kind: InitialStateKind) -> list[StageReport]:
     if bits not in (4, 5):
         raise ValueError("ensemble profiles are defined for 4- and 5-digit numbers")
     instances = ensemble_instances(bits)
-    results = _map_ordered(lambda inst: tree_profile(inst, kind), instances)
+    results = [tree_profile(inst, kind) for inst in instances]
     count = len(results)
     out = []
     for i, template in enumerate(results[0].reports):
@@ -262,6 +245,60 @@ def _run_rng(seed: int, run: int):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+class _Columns:
+    """The up-front uniforms of a chunk, handed out one column at a time.
+
+    Row i holds run i's draws in circuit order; each random() call returns
+    the next draw of every run, which is what noise_pass and the
+    measurement consume.
+    """
+
+    def __init__(self, uniforms: np.ndarray):
+        self._columns = iter(uniforms.T)
+
+    def random(self) -> np.ndarray:
+        return next(self._columns)
+
+
+def _draws_per_run(inst: ShorInstance, cfg: NoiseConfig | None) -> int:
+    """Uniforms one trajectory consumes: one per noisy qubit per gate, one per measurement."""
+    noisy = 0 if cfg is None or cfg.prob == 0.0 else inst.m - int(cfg.exclude_control)
+    gates = 3 * inst.L - 1  # cu and h at every stage, the phase from stage 1 on
+    return gates * noisy + inst.L
+
+
+def _run_stack(
+    inst: ShorInstance,
+    kind: InitialStateKind,
+    cfg: NoiseConfig | None,
+    uniforms: np.ndarray,
+) -> np.ndarray:
+    """Step a (B, d, d) stack of trajectories; returns each run's outcome c.
+
+    Row i of `uniforms` (shape (B, _draws_per_run)) is run i's stream.  A
+    noise opportunity follows every displayed gate; the measurement takes
+    |0> when the run's draw falls below p0, keeps that run's block and
+    re-prepares the control in |+>.  Every member goes through the same
+    arithmetic it would go through alone.
+    """
+    runs = uniforms.shape[0]
+    draws = _Columns(uniforms)
+    rho = np.repeat(circuit.initial_state(inst, kind).rho[None], runs, axis=0)
+    bits: list[np.ndarray] = []
+    gate_index = 0
+    for s in range(inst.L):
+        for _name, apply in circuit.stage_gates(inst, s, bits):
+            rho = noise_pass(apply(rho), cfg, gate_index, draws)
+            gate_index += 1
+        if densemat.validation_enabled():
+            densemat.assert_valid_state(rho, context=f"stage {s} gates")
+        bit, sigma = circuit.sample_control(rho, draws.random())
+        bits.append(bit)
+        if s < inst.L - 1:
+            rho = circuit.plus_control(sigma)
+    return sum(bit << i for i, bit in enumerate(bits))
+
+
 def run_trajectory(
     inst: ShorInstance,
     kind: InitialStateKind,
@@ -270,30 +307,31 @@ def run_trajectory(
 ) -> int:
     """One sampled run; returns the measured outcome c.
 
-    A noise opportunity follows every displayed gate; measurement results
-    are drawn as |0> when the uniform draw falls below p0.
+    The single-run case of the batched stepper: the run's fixed number of
+    uniforms is drawn from `rng` up front, in the order the gates and
+    measurements consume them.
     """
-    state = circuit.initial_state(inst, kind)
-    gate_index = 0
-    for s in range(inst.L):
-        rho = state.rho
-        for _name, apply in circuit.stage_gates(inst, s, state.bits):
-            rho = apply(rho)
-            rho = noise_pass(rho, cfg, gate_index, rng)
-            gate_index += 1
-        state = ComputerState(rho=rho, stage=state.stage, bits=state.bits)
-        (p0, b0), (p1, b1) = circuit.measure_control(state)
-        draw = rng.random()
-        if b1 is None or (b0 is not None and draw < p0):
-            state = b0
-        else:
-            state = b1
-        if s < inst.L - 1:
-            state = circuit.reprepare_control(state)
-    c = 0
-    for i, bit in enumerate(state.bits):
-        c |= bit << i
-    return c
+    uniforms = rng.random((1, _draws_per_run(inst, cfg)))
+    return int(_run_stack(inst, kind, cfg, uniforms)[0])
+
+
+def _sweep_outcomes(
+    inst: ShorInstance,
+    kind: InitialStateKind,
+    cfg: NoiseConfig | None,
+    runs: int,
+    seed: int,
+) -> np.ndarray:
+    """Outcomes of runs 0..runs-1, stepped in chunks of CHUNK_BYTES per stacked state."""
+    dim = 1 << inst.m
+    chunk = max(1, CHUNK_BYTES // (16 * dim * dim))
+    total = _draws_per_run(inst, cfg)
+    outcomes = []
+    for first in range(0, runs, chunk):
+        chunk_runs = range(first, min(first + chunk, runs))
+        uniforms = np.stack([_run_rng(seed, run).random(total) for run in chunk_runs])
+        outcomes.append(_run_stack(inst, kind, cfg, uniforms))
+    return np.concatenate(outcomes)
 
 
 def monte_carlo_sweep(
@@ -309,18 +347,17 @@ def monte_carlo_sweep(
 
     A run succeeds when the continued-fraction extraction of its outcome
     equals the true order.  Run `i` uses the same (seed, i) stream at
-    every grid point, so repeated sweeps are reproducible.
+    every grid point, so repeated sweeps are reproducible, and its
+    outcome does not depend on how runs are grouped into chunks.
     """
     if runs < 1:
         raise ValueError("need at least one run")
+    mask = extraction_success_mask(inst)
     rows = []
     for prob in probs:
         cfg = None if prob == 0.0 else NoiseConfig(noise_kind, prob, exclude_control, seed)
-        successes = 0
-        for run in range(runs):
-            c = run_trajectory(inst, kind, cfg, _run_rng(seed, run))
-            if numtheory.extract_period(c, inst.t, inst.N, inst.a) == inst.r:
-                successes += 1
+        outcomes = _sweep_outcomes(inst, kind, cfg, runs, seed)
+        successes = int(np.count_nonzero(mask[outcomes]))
         rows.append(SweepRow(prob=float(prob), successes=successes, runs=runs, rate=successes / runs))
     return rows
 
@@ -369,7 +406,7 @@ def mix_sweep(inst: ShorInstance, kind: InitialStateKind, epsilons) -> list[MixS
             avg_entanglement=result.whole_run_average_entanglement(),
         )
 
-    return _map_ordered(evaluate, epsilons)
+    return [evaluate(eps) for eps in epsilons]
 
 
 def _average_entanglement(

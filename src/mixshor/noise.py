@@ -42,37 +42,50 @@ class NoiseConfig:
             raise ValueError(f"noise probability {self.prob} outside [0, 1]")
 
 
+def _member_qubits(rho: np.ndarray) -> int:
+    """Qubit count of one state, or of each member of a stack."""
+    return densemat.num_qubits(rho[(0,) * (rho.ndim - 2)])
+
+
+def _qubit_legs(rho: np.ndarray, q: int) -> np.ndarray:
+    """One state or a (..., d, d) stack, viewed as (..., A, 2, C, A, 2, C).
+
+    The two axes of length 2 are qubit q's ket and bra legs; A = 2^q and
+    C = 2^(m-1-q) gather the qubits before and after it.
+    """
+    m = _member_qubits(rho)
+    if not 0 <= q < m:
+        raise ValueError(f"bad qubit index {q}")
+    outer, inner = 1 << q, 1 << (m - 1 - q)
+    return rho.reshape(rho.shape[:-2] + (outer, 2, inner) * 2)
+
+
 def dephase_qubit(rho: np.ndarray, q: int) -> np.ndarray:
     """Nonselective computational-basis measurement of qubit q.
 
     P0 rho P0 + P1 rho P1: diagonal entries are untouched, coherences
-    between the two values of qubit q are zeroed.
+    between the two values of qubit q are zeroed.  `rho` is one state or
+    a stack of states along leading axes.
     """
-    m = densemat.num_qubits(rho)
-    if not 0 <= q < m:
-        raise ValueError(f"bad qubit index {q}")
-    tens = rho.reshape((2,) * (2 * m)).copy()
-    cross = [slice(None)] * (2 * m)
-    cross[q], cross[m + q] = 0, 1
-    tens[tuple(cross)] = 0.0
-    cross[q], cross[m + q] = 1, 0
-    tens[tuple(cross)] = 0.0
-    return tens.reshape(rho.shape)
+    out = _qubit_legs(rho, q).copy()
+    out[..., 0, :, :, 1, :] = 0.0
+    out[..., 1, :, :, 0, :] = 0.0
+    return out.reshape(rho.shape)
 
 
 def depolarize_qubit(rho: np.ndarray, q: int) -> np.ndarray:
     """Uniform mixture of identity and the three Pauli conjugations on qubit q.
 
-    Leaves the qubit in the maximally mixed state I/2 and removes any
-    entanglement across cuts isolating it.
+    Computed in closed form as I/2 (x) Tr_q rho: the qubit is left
+    maximally mixed, which removes any entanglement across cuts isolating
+    it.  `rho` is one state or a stack of states along leading axes.
     """
-    m = densemat.num_qubits(rho)
-    if not 0 <= q < m:
-        raise ValueError(f"bad qubit index {q}")
-    out = rho.copy()
-    for pauli in (densemat.PAULI_X, densemat.PAULI_Y, densemat.PAULI_Z):
-        out = out + densemat.apply_local_gate(rho, pauli, [q])
-    return out * 0.25
+    legs = _qubit_legs(rho, q)
+    half_reduced = (legs[..., 0, :, :, 0, :] + legs[..., 1, :, :, 1, :]) * 0.5
+    out = np.zeros_like(legs)
+    out[..., 0, :, :, 0, :] = half_reduced
+    out[..., 1, :, :, 1, :] = half_reduced
+    return out.reshape(rho.shape)
 
 
 def noise_pass(
@@ -80,20 +93,28 @@ def noise_pass(
 ) -> np.ndarray:
     """One post-gate noise opportunity for every qubit.
 
-    Draws a Bernoulli(prob) per qubit in ascending order (skipping the
-    control qubit 0 when excluded) and applies the configured channel on
-    a hit.  `rng` must be the trajectory's dedicated stream so results
-    are reproducible independent of scheduling; gate_index documents the
-    position in the circuit for callers that key their streams finer.
+    `rho` is one state or a (B, d, d) stack of trajectories.  Per qubit in
+    ascending order (skipping the control qubit 0 when excluded),
+    `rng.random()` gives the draw, one uniform for a single state and one
+    per member for a stack, and the configured channel is applied to the
+    states whose draw falls below prob.  `rng` must hold each
+    trajectory's dedicated stream so results are reproducible independent
+    of scheduling; gate_index documents the position in the circuit for
+    callers that key their streams finer.
     """
     if config is None or config.prob == 0.0:
         return rho
-    m = densemat.num_qubits(rho)
     channel = dephase_qubit if config.kind == MEASUREMENT else depolarize_qubit
     start = 1 if config.exclude_control else 0
-    for q in range(start, m):
-        if rng.random() < config.prob:
-            rho = channel(rho, q)
+    out = rho
+    for q in range(start, _member_qubits(rho)):
+        hits = np.asarray(rng.random() < config.prob)
+        if hits.all():
+            out = channel(out, q)
+        elif hits.any():
+            if out is rho:
+                out = rho.copy()
+            out[hits] = channel(out[hits], q)
     if densemat.validation_enabled():
-        densemat.assert_valid_state(rho, context=f"noise after gate {gate_index}")
-    return rho
+        densemat.assert_valid_state(out, context=f"noise after gate {gate_index}")
+    return out

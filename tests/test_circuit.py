@@ -10,13 +10,15 @@ from mixshor.circuit import (
     initial_state,
     measure_control,
     phase_correction_angle,
+    plus_control,
     reference_distribution,
     reprepare_control,
     run_stage_gates,
+    sample_control,
     work_distribution,
 )
 
-from conftest import bell_state
+from conftest import bell_state, random_density_matrix
 
 PURE = InitialStateKind.PURE
 MIXED_N = InitialStateKind.MIXED_N
@@ -222,6 +224,34 @@ class TestMeasureControl:
         zero = ComputerState(rho=np.zeros((4, 4), dtype=complex), stage=0, bits=())
         with pytest.raises(ValueError):
             measure_control(zero)
+
+
+class TestSampleControl:
+    def test_dead_outcome_never_chosen(self):
+        # control |1>, |0>, and |0> with weight 1e-15: a draw below a dead
+        # p0 still takes outcome 1, a draw above p0 of a certain 0 takes 0
+        tiny = densemat.kron(np.diag([1e-15, 1 - 1e-15]).astype(complex), np.eye(2) / 2)
+        one = densemat.kron(np.diag([0.0, 1.0]).astype(complex), np.eye(2) / 2)
+        zero = densemat.kron(np.diag([1.0, 0.0]).astype(complex), np.eye(2) / 2)
+        bits, sigma = sample_control(np.stack([one, zero, tiny]), np.array([0.0, 0.999, 0.0]))
+        assert list(bits) == [1, 0, 1]
+        assert np.allclose(sigma, np.eye(2) / 2)
+
+    def test_both_dead_rejected(self):
+        stack = np.stack([bell_state(), np.zeros((4, 4), dtype=complex)])
+        with pytest.raises(ValueError):
+            sample_control(stack, np.array([0.5, 0.5]))
+
+    def test_matches_measure_and_reprepare(self, rng):
+        states = [random_density_matrix(8, rng) for _ in range(6)]
+        draws = rng.random(6)
+        bits, sigma = sample_control(np.stack(states), draws)
+        reprepared = plus_control(sigma)
+        for rho, draw, bit, member in zip(states, draws, bits, reprepared):
+            (p0, b0), (_, b1) = measure_control(ComputerState(rho=rho, stage=0, bits=()))
+            assert bit == (0 if draw < p0 else 1)
+            expected = reprepare_control(b0 if bit == 0 else b1).rho
+            assert np.array_equal(member, expected)
 
 
 class TestReprepareControl:

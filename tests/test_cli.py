@@ -1,4 +1,5 @@
 import os
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -19,6 +20,19 @@ class TestParseValues:
     def test_range_endpoint_within_roundoff(self):
         values = _parse_values("0:0.3:0.1")
         assert values == [0.0, 0.1, 0.2, 0.3]
+
+    def test_range_values_are_the_decimal_grid(self):
+        # every value is the double nearest to start + i*step in decimal
+        for text in ("0:0.5:0.05", "0:0.5:0.002", "0.1:0.3:0.1", "0:1:0.0001"):
+            start, stop, step = (Decimal(p) for p in text.split(":"))
+            count = int((stop - start) / step) + 1
+            assert _parse_values(text) == [float(start + i * step) for i in range(count)]
+
+    def test_fine_range_ends_exactly_at_stop(self):
+        # an accumulated v += step drifts to 0.999999999998 over this grid
+        values = _parse_values("0:1:0.00001")
+        assert len(values) == 100_001
+        assert values[-1] == 1.0
 
     def test_comma_list(self):
         assert _parse_values("0.1,0.2,0.5") == [0.1, 0.2, 0.5]
@@ -149,8 +163,7 @@ class TestValidation:
         )
         assert code == 2
 
-    def test_threads_env_is_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MIXSHOR_THREADS", "1")
+    def test_mix_writes_header_and_two_rows(self, tmp_path):
         out = tmp_path / "mix.csv"
         assert (
             run_cli("mix", "--n", "10", "--a", "3", "--kind", "pure", "--epsilons", "0,0.5", "--out", str(out))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mixshor import experiments
+from mixshor import densemat, experiments
 from mixshor.circuit import (
+    ComputerState,
     InitialStateKind,
     build_instance,
     initial_state,
@@ -10,6 +11,7 @@ from mixshor.circuit import (
     reference_distribution,
     reprepare_control,
     run_stage_gates,
+    stage_gates,
 )
 from mixshor.entanglement import average_log_negativity, mixedness
 from mixshor.experiments import (
@@ -23,7 +25,7 @@ from mixshor.experiments import (
     success_probability_exact,
     tree_profile,
 )
-from mixshor.noise import MEASUREMENT, PAULI, NoiseConfig
+from mixshor.noise import MEASUREMENT, PAULI, NoiseConfig, noise_pass
 
 PURE = InitialStateKind.PURE
 MIXED_N = InitialStateKind.MIXED_N
@@ -61,6 +63,26 @@ def explicit_tree(inst, kind, epsilon=0.0):
         c = sum(bit << i for i, bit in enumerate(st.bits))
         leaf[c] += np.prod(probs)
     return averages, leaf
+
+
+def reference_trajectory(inst, kind, cfg, rng):
+    """One Monte Carlo run, one state at a time, from the public circuit steps.
+
+    Draws happen lazily in circuit order: one per noisy qubit after every
+    gate, then one for the measurement, which takes |0> below p0 and
+    never a dead branch.
+    """
+    state = initial_state(inst, kind)
+    for s in range(inst.L):
+        rho = state.rho
+        for _name, apply in stage_gates(inst, s, state.bits):
+            rho = noise_pass(apply(rho), cfg, 0, rng)
+        (p0, b0), (p1, b1) = measure_control(ComputerState(rho, state.stage, state.bits))
+        draw = rng.random()
+        state = b0 if b1 is None or (b0 is not None and draw < p0) else b1
+        if s < inst.L - 1:
+            state = reprepare_control(state)
+    return sum(bit << i for i, bit in enumerate(state.bits))
 
 
 class TestTreeProfile:
@@ -199,6 +221,38 @@ class TestMonteCarlo:
         for run in range(5):
             c = run_trajectory(inst, MIXED_N, None, experiments._run_rng(1, run))
             assert 0 <= c < inst.t
+
+    def test_batched_runs_match_reference_outcome_for_outcome(self):
+        # 13 runs: not a multiple of the chunk size at any supported d
+        runs, seed = 13, 401
+        for N, a in ((10, 3), (15, 2), (21, 2)):
+            inst = build_instance(N, a)
+            mask = extraction_success_mask(inst)
+            for kind in (PURE, MIXED_N, MIXED_FULL):
+                for channel in (PAULI, MEASUREMENT):
+                    for prob in (0.0, 0.3, 1.0):
+                        for exclude in (False, True):
+                            cfg = None if prob == 0.0 else NoiseConfig(channel, prob, exclude)
+                            streams = [experiments._run_rng(seed, run) for run in range(runs)]
+                            expected = [reference_trajectory(inst, kind, cfg, r) for r in streams]
+                            got = experiments._sweep_outcomes(inst, kind, cfg, runs, seed)
+                            assert list(got) == expected, (N, kind, channel, prob, exclude)
+                            rows = monte_carlo_sweep(inst, kind, channel, [prob], runs, exclude, seed)
+                            assert rows[0].successes == sum(mask[c] for c in expected)
+
+    def test_batched_runs_match_reference_with_validation(self):
+        inst = build_instance(10, 3)
+        cfg = NoiseConfig(PAULI, 0.3)
+        densemat.set_validation(True)
+        try:
+            expected = [
+                reference_trajectory(inst, MIXED_N, cfg, experiments._run_rng(2, run))
+                for run in range(5)
+            ]
+            got = experiments._sweep_outcomes(inst, MIXED_N, cfg, 5, 2)
+        finally:
+            densemat.set_validation(False)
+        assert list(got) == expected
 
     def test_mixed_state_dephasing_is_harmless_for_power_of_two_period(self):
         # with the work register already diagonal and r = 2^m, measurement

@@ -102,6 +102,40 @@ class TestChannelProperties:
             assert np.allclose(ab, ba, atol=1e-12)
 
 
+def random_states(m, count, rng):
+    return np.stack([random_density_matrix(1 << m, rng) for _ in range(count)])
+
+
+class TestClosedFormChannels:
+    # the closed forms against the channels' definitions, for every
+    # supported qubit count and every target qubit
+    def test_depolarize_is_pauli_average(self, rng):
+        paulis = (densemat.PAULI_X, densemat.PAULI_Y, densemat.PAULI_Z)
+        for m in range(1, 7):
+            for q in range(m):
+                rho = random_density_matrix(1 << m, rng)
+                expected = rho + sum(densemat.apply_local_gate(rho, p, [q]) for p in paulis)
+                assert np.max(np.abs(depolarize_qubit(rho, q) - expected / 4)) < 1e-14
+
+    def test_dephase_is_projector_sum(self, rng):
+        projectors = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
+        for m in range(1, 7):
+            for q in range(m):
+                rho = random_density_matrix(1 << m, rng)
+                expected = sum(densemat.apply_local_gate(rho, p, [q]) for p in projectors)
+                assert np.max(np.abs(dephase_qubit(rho, q) - expected)) < 1e-14
+
+    def test_stack_matches_members(self, rng):
+        for m in range(1, 7):
+            stack = random_states(m, 3, rng)
+            for q in range(m):
+                for channel in (dephase_qubit, depolarize_qubit):
+                    out = channel(stack, q)
+                    assert out.shape == stack.shape
+                    for member, alone in zip(out, stack):
+                        assert np.array_equal(member, channel(alone, q))
+
+
 class TestNoisePass:
     def test_zero_probability_is_identity(self, rng):
         rho = random_density_matrix(8, rng)
@@ -140,3 +174,20 @@ class TestNoisePass:
             NoiseConfig("thermal", 0.1)
         with pytest.raises(ValueError):
             NoiseConfig(PAULI, 1.5)
+
+    def test_stack_hits_only_members_below_prob(self, rng):
+        # one draw per member per qubit: members whose draw falls below p
+        # get the channel, the others are left as they were
+        stack = random_states(2, 3, rng)
+        before = stack.copy()
+        draws = iter([np.array([0.1, 0.9, 0.4]), np.array([0.9, 0.2, 0.6])])
+
+        class Columns:
+            def random(self):
+                return next(draws)
+
+        out = noise_pass(stack, NoiseConfig(PAULI, 0.5), 0, Columns())
+        assert np.array_equal(out[0], depolarize_qubit(stack[0], 0))
+        assert np.array_equal(out[1], depolarize_qubit(stack[1], 1))
+        assert np.array_equal(out[2], depolarize_qubit(stack[2], 0))
+        assert np.array_equal(stack, before)
