@@ -70,7 +70,11 @@ class ShorInstance:
 
 @dataclass(frozen=True)
 class ComputerState:
-    """Density matrix plus measurement history of a running algorithm."""
+    """Density matrix plus measurement history of a running algorithm.
+
+    `rho` may also be a (B, d, d) stack of states; `bits` then holds one
+    vector of B bits per measured stage.
+    """
 
     rho: np.ndarray
     stage: int
@@ -120,11 +124,7 @@ def initial_state(
 ) -> ComputerState:
     """Control prepared toward |+> (mixed by epsilon), work register per kind."""
     work = np.diag(work_distribution(inst, kind)).astype(complex)
-    control0 = np.zeros((2, 2), dtype=complex)
-    control0[0, 0] = 1.0
-    rho = densemat.kron(control0, work)
-    rho = _mix_and_hadamard_control(rho, epsilon)
-    return ComputerState(rho=rho, stage=0, bits=())
+    return ComputerState(rho=plus_control(work, epsilon), stage=0, bits=())
 
 
 @lru_cache(maxsize=None)
@@ -211,29 +211,6 @@ def _apply_control_hadamard(rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply_control_flip(rho: np.ndarray) -> np.ndarray:
-    half = rho.shape[-1] // 2
-    out = np.empty_like(rho)
-    out[..., :half, :half] = rho[..., half:, half:]
-    out[..., half:, half:] = rho[..., :half, :half]
-    out[..., :half, half:] = rho[..., half:, :half]
-    out[..., half:, :half] = rho[..., :half, half:]
-    return out
-
-
-def _mix_and_hadamard_control(rho: np.ndarray, epsilon: float) -> np.ndarray:
-    """From control |0>: mix with the flipped state, then Hadamard.
-
-    Produces (1-eps)|psi><psi| + eps|psi_perp><psi_perp| on the control
-    with |psi> = (|0> + |1>)/sqrt(2).
-    """
-    if not 0.0 <= epsilon <= 0.5:
-        raise ValueError(f"epsilon={epsilon} outside [0, 1/2]")
-    if epsilon:
-        rho = (1.0 - epsilon) * rho + epsilon * _apply_control_flip(rho)
-    return _apply_control_hadamard(rho)
-
-
 def stage_gates(inst: ShorInstance, s: int, bits):
     """Displayed gates of stage s in circuit order, as (name, apply) pairs.
 
@@ -256,7 +233,9 @@ def stage_gates(inst: ShorInstance, s: int, bits):
 def run_stage_gates(state: ComputerState, s: int, inst: ShorInstance) -> ComputerState:
     """Apply controlled multiplication, phase correction and Hadamard.
 
-    Does not measure; the stage counter advances on measurement.
+    `state.rho` is one state or a (B, d, d) stack whose `bits` hold one
+    vector per measured bit (see phase_correction_angle).  Does not
+    measure; the stage counter advances on measurement.
     """
     if state.stage != s:
         raise ValueError(f"state is at stage {state.stage}, not {s}")
@@ -268,34 +247,63 @@ def run_stage_gates(state: ComputerState, s: int, inst: ShorInstance) -> Compute
     return ComputerState(rho=rho, stage=state.stage, bits=state.bits)
 
 
-def _control_probabilities(rho: np.ndarray):
-    """p0 and p1 of the control, from the diagonal of one state or a stack."""
+def _outcomes(rho: np.ndarray):
+    """p0 and p1 of the control with the dead-branch rule, for one state or a stack.
+
+    An outcome with probability below DEAD_BRANCH_TOL is dead; a state
+    whose outcomes are both dead raises.  Returns p0, p1, dead0, dead1.
+    """
     half = rho.shape[-1] // 2
     diag = np.real(np.diagonal(rho, axis1=-2, axis2=-1))
-    return diag[..., :half].sum(axis=-1), diag[..., half:].sum(axis=-1)
+    p0, p1 = diag[..., :half].sum(axis=-1), diag[..., half:].sum(axis=-1)
+    dead0, dead1 = p0 < DEAD_BRANCH_TOL, p1 < DEAD_BRANCH_TOL
+    if np.any(dead0 & dead1):
+        raise ValueError("both measurement outcomes have zero probability")
+    return p0, p1, dead0, dead1
+
+
+def _control_block(rho: np.ndarray, bit) -> np.ndarray:
+    """The (bit, bit) work block of one state, or of each member of a stack.
+
+    `bit` is one int or one per member; the block of |bit><bit| (x) sigma
+    is sigma.
+    """
+    lead, half = rho.shape[:-2], rho.shape[-1] // 2
+    bit = np.broadcast_to(bit, lead).ravel()
+    flat = rho.reshape(-1, 2, half, 2, half)
+    return flat[np.arange(bit.size), bit, :, bit, :].reshape(lead + (half, half))
 
 
 def measure_control(state: ComputerState):
     """Projective measurement of the control in the computational basis.
 
     Returns ((p0, branch0), (p1, branch1)); a branch with probability
-    below DEAD_BRANCH_TOL is dead and returned as None.
+    below DEAD_BRANCH_TOL is dead and returned as None.  On a (B, d, d)
+    stack, whose `bits` are per-member vectors, p0 and p1 hold every
+    member's probabilities and each branch holds, in order, the members
+    for which that outcome is alive, or is None when it is dead for all
+    of them.
     """
     rho = state.rho
-    half = rho.shape[0] // 2
-    p0, p1 = (float(p) for p in _control_probabilities(rho))
-    if p0 < DEAD_BRANCH_TOL and p1 < DEAD_BRANCH_TOL:
-        raise ValueError("both measurement outcomes have zero probability")
+    half = rho.shape[-1] // 2
+    p0, p1, dead0, dead1 = _outcomes(rho)
 
-    def collapse(bit: int, p: float) -> ComputerState | None:
-        if p < DEAD_BRANCH_TOL:
+    def collapse(bit: int, p, dead) -> ComputerState | None:
+        live = ~np.ravel(dead)
+        if not live.any():
             return None
-        out = np.zeros_like(rho)
-        sl = slice(0, half) if bit == 0 else slice(half, 2 * half)
-        out[sl, sl] = rho[sl, sl] / p
-        return ComputerState(rho=out, stage=state.stage + 1, bits=state.bits + (bit,))
+        members = rho.reshape((-1,) + rho.shape[-2:])
+        out = np.zeros((np.count_nonzero(live),) + rho.shape[-2:], dtype=rho.dtype)
+        sl = slice(bit * half, (bit + 1) * half)
+        out[:, sl, sl] = members[live, sl, sl] / np.ravel(p)[live][:, None, None]
+        if rho.ndim == 2:
+            return ComputerState(rho=out[0], stage=state.stage + 1, bits=state.bits + (bit,))
+        bits = tuple(b[live] for b in state.bits) + (np.full(len(out), bit),)
+        return ComputerState(rho=out, stage=state.stage + 1, bits=bits)
 
-    return (p0, collapse(0, p0)), (p1, collapse(1, p1))
+    if rho.ndim == 2:
+        p0, p1 = float(p0), float(p1)
+    return (p0, collapse(0, p0, dead0)), (p1, collapse(1, p1, dead1))
 
 
 def sample_control(rho: np.ndarray, draws: np.ndarray):
@@ -307,41 +315,38 @@ def sample_control(rho: np.ndarray, draws: np.ndarray):
     Returns the outcome bits and the kept work blocks, each divided by its
     own probability: the (B, d/2, d/2) stack of sigma in |bit><bit| (x) sigma.
     """
-    p0, p1 = _control_probabilities(rho)
-    dead0, dead1 = p0 < DEAD_BRANCH_TOL, p1 < DEAD_BRANCH_TOL
-    if np.any(dead0 & dead1):
-        raise ValueError("both measurement outcomes have zero probability")
+    p0, p1, dead0, dead1 = _outcomes(rho)
     bits = np.where(dead1 | (~dead0 & (draws < p0)), 0, 1)
-    half = rho.shape[-1] // 2
-    blocks = rho.reshape(-1, 2, half, 2, half)[np.arange(bits.size), bits, :, bits, :]
-    return bits, blocks / np.where(bits, p1, p0)[:, None, None]
+    return bits, _control_block(rho, bits) / np.where(bits, p1, p0)[:, None, None]
 
 
 def reprepare_control(state: ComputerState, epsilon: float = 0.0) -> ComputerState:
     """Reset the measured control toward |+>, optionally mixed by epsilon.
 
-    Flips the control to |0> if the last measured bit was 1, mixes the
-    state with its control-flipped copy in proportions (1-eps, eps), and
-    applies a Hadamard.  epsilon = 0 reproduces the exact |+> reset.
+    The measured state |bit><bit| (x) sigma becomes plus_control(sigma,
+    epsilon), whichever the bit; epsilon = 0 reproduces the exact |+>
+    reset.  On a stack the last bit is one per member.
     """
     if not state.bits:
         raise ValueError("control has not been measured yet")
-    rho = state.rho
-    if state.bits[-1] == 1:
-        rho = _apply_control_flip(rho)
-    rho = _mix_and_hadamard_control(rho, epsilon)
-    return ComputerState(rho=rho, stage=state.stage, bits=state.bits)
+    sigma = _control_block(state.rho, state.bits[-1])
+    return ComputerState(rho=plus_control(sigma, epsilon), stage=state.stage, bits=state.bits)
 
 
-def plus_control(sigma: np.ndarray) -> np.ndarray:
-    """|+><+| (x) sigma, i.e. 1/2 [[sigma, sigma], [sigma, sigma]], per stack member.
+def plus_control(sigma: np.ndarray, epsilon: float = 0.0) -> np.ndarray:
+    """The control toward |+> mixed by epsilon, tensored with sigma, per stack member.
 
-    Equals reprepare_control with epsilon = 0 applied to the measured
-    state |bit><bit| (x) sigma, whichever the bit.
+    (1-eps)|+><+| + eps|-><-| (x) sigma, in closed form
+    1/2 [[sigma, (1-2 eps) sigma], [(1-2 eps) sigma, sigma]]; at eps = 0
+    every block is sigma/2.
     """
+    if not 0.0 <= epsilon <= 0.5:
+        raise ValueError(f"epsilon={epsilon} outside [0, 1/2]")
     lead, half = sigma.shape[:-2], sigma.shape[-1]
-    tiled = np.broadcast_to((sigma * 0.5)[..., None, :, None, :], lead + (2, half, 2, half))
-    return tiled.reshape(lead + (2 * half, 2 * half))
+    out = np.empty(lead + (2, half, 2, half), dtype=sigma.dtype)
+    out[..., 0, :, 0, :] = out[..., 1, :, 1, :] = sigma * 0.5
+    out[..., 0, :, 1, :] = out[..., 1, :, 0, :] = sigma * 0.5 * (1.0 - 2.0 * epsilon)
+    return out.reshape(lead + (2 * half, 2 * half))
 
 
 def reference_distribution(inst: ShorInstance, kind: InitialStateKind) -> np.ndarray:

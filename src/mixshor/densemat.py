@@ -200,13 +200,14 @@ def trace_norm_hermitian(mat: np.ndarray) -> float:
     return float(np.abs(hermitian_eigenvalues(mat)).sum())
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
+def von_neumann_entropy(rho: np.ndarray):
     """Entropy -sum(lam * log2 lam) in bits, with 0 log 0 taken as 0.
 
-    Slightly negative eigenvalues from roundoff are clamped to zero.
+    Slightly negative eigenvalues from roundoff are clamped to zero.  A
+    stack of states along leading axes gives one entropy per member.
     """
     vals = np.linalg.eigvalsh(rho)
-    vals = vals[vals > 0.0]
-    if vals.size == 0:
-        return 0.0
-    return float(-(vals * np.log2(vals)).sum())
+    positive = vals > 0.0
+    terms = np.where(positive, vals, 0.0) * np.log2(np.where(positive, vals, 1.0))
+    entropy = -terms.sum(axis=-1)
+    return float(entropy) if rho.ndim == 2 else entropy

@@ -55,23 +55,27 @@ def log_negativity(rho: np.ndarray, partition) -> float:
     return 0.0 if abs(value) < CLAMP_TOL else value
 
 
-def average_log_negativity(rho: np.ndarray) -> float:
+def average_log_negativity(rho: np.ndarray):
     """Unweighted mean of log_negativity over all canonical bipartitions.
 
-    The partial transposes are stacked and diagonalized in one batched
-    call; this is the inner loop of the tree simulations.
+    `rho` is one state, giving a float, or a (B, d, d) stack, giving one
+    value per member.  The partial transposes of every member are stacked
+    and diagonalized in one batched call; this is the inner loop of the
+    tree simulations.
     """
-    m = densemat.num_qubits(rho)
+    dim = rho.shape[-1]
+    members = rho.reshape(-1, dim, dim)
+    m = densemat.num_qubits(members[0])
     parts = bipartitions(m)
-    dim = rho.shape[0]
-    tens = rho.reshape((2,) * (2 * m))
-    stack = np.empty((len(parts), dim, dim), dtype=complex)
+    tens = members.reshape((len(members),) + (2,) * (2 * m))
+    stack = np.empty((len(members), len(parts)) + (2,) * (2 * m), dtype=complex)
     for i, subset in enumerate(parts):
-        stack[i] = tens.transpose(_transpose_axes(m, subset)).reshape(dim, dim)
-    vals = np.linalg.eigvalsh(stack)
-    e = np.log2(np.abs(vals).sum(axis=1))
+        stack[:, i] = tens.transpose((0,) + tuple(1 + a for a in _transpose_axes(m, subset)))
+    vals = np.linalg.eigvalsh(stack.reshape(len(members), len(parts), dim, dim))
+    e = np.log2(np.abs(vals).sum(axis=-1))
     e[np.abs(e) < CLAMP_TOL] = 0.0
-    return float(e.mean())
+    means = e.mean(axis=-1)
+    return float(means[0]) if rho.ndim == 2 else means
 
 
 def is_ppt(rho: np.ndarray, partition, tol: float = 1e-10) -> bool:
@@ -85,6 +89,9 @@ def is_ppt(rho: np.ndarray, partition, tol: float = 1e-10) -> bool:
     return bool(vals[-1] >= -tol)
 
 
-def mixedness(rho: np.ndarray) -> float:
-    """Von Neumann entropy of the whole computer state, in bits."""
+def mixedness(rho: np.ndarray):
+    """Von Neumann entropy of the whole computer state, in bits.
+
+    `rho` is one state or a stack of states along leading axes.
+    """
     return densemat.von_neumann_entropy(rho)

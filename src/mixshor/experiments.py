@@ -3,10 +3,10 @@
 The tree runner enumerates every measurement branch with its path
 probability, giving exact stage averages and the exact outcome
 distribution; Monte Carlo trajectories sample measurement results and
-noise events instead.  Monte Carlo runs are stepped together as stacked
-(B, d, d) states in chunks of a fixed byte budget, and run i draws only
-from its own (seed, i) stream, so its outcome does not depend on which
-runs share its chunk.
+noise events instead.  Both step their states together as stacked
+(B, d, d) arrays in chunks of a fixed byte budget.  Monte Carlo run i
+draws only from its own (seed, i) stream, so its outcome does not depend
+on which runs share its chunk.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "StageReport",
     "SweepRow",
     "MixSweepRow",
-    "BranchNode",
     "TreeResult",
     "tree_profile",
     "tree_leaf_distribution",
@@ -38,9 +37,11 @@ __all__ = [
     "find_entanglement_crossing",
 ]
 
-# Byte budget of one stacked (B, d, d) complex state in a Monte Carlo
-# chunk: B = 8 runs at d = 32, 2 at d = 64.
+# Byte budget of one stacked (B, d, d) complex state in a chunk of tree
+# branches or Monte Carlo runs: B = 8 at d = 32, 2 at d = 64.
 CHUNK_BYTES = 1 << 17
+
+_POINT_KINDS = ("post_gate", "post_measure")
 
 
 @dataclass(frozen=True)
@@ -73,14 +74,6 @@ class MixSweepRow:
 
 
 @dataclass(frozen=True)
-class BranchNode:
-    """A live branch of the measurement tree with its path probability."""
-
-    state: ComputerState
-    path_prob: float
-
-
-@dataclass(frozen=True)
 class TreeResult:
     reports: tuple[StageReport, ...]
     leaf_probs: np.ndarray
@@ -90,89 +83,74 @@ class TreeResult:
         return float(np.mean([r.avg_logneg for r in self.reports]))
 
 
-def _collapsed_work_block(state: ComputerState) -> np.ndarray:
-    half = state.rho.shape[0] // 2
-    sl = slice(0, half) if state.bits[-1] == 0 else slice(half, 2 * half)
-    return state.rho[sl, sl]
+def _chunk_size(inst: ShorInstance) -> int:
+    """Stack members per chunk: CHUNK_BYTES per stacked complex state."""
+    dim = 1 << inst.m
+    return max(1, CHUNK_BYTES // (16 * dim * dim))
 
 
-def _branch_entanglement(state: ComputerState, post_measure: bool) -> float:
-    """Average log-negativity of one branch over all canonical bipartitions.
+def _point_entanglement(states: np.ndarray, post_measure: bool) -> np.ndarray:
+    """Average log-negativity over all canonical bipartitions, per stack member.
 
-    A post-measure state is exactly |b><b| (x) sigma on the control, so
-    every split reduces to a split of the work register: the full-work
-    split contributes zero and the remaining splits come in complement
-    pairs with equal negativity, which lets the whole average be computed
-    on the 2^n-dimensional work block.
+    A post-measure state is exactly |b><b| (x) sigma on the control and is
+    given by its work block sigma: every split reduces to a split of the
+    work register, the full-work split contributes zero and the remaining
+    splits come in complement pairs with equal negativity, which lets the
+    whole average be computed on the 2^n-dimensional work block.
     """
     if not post_measure:
-        return entanglement.average_log_negativity(state.rho)
-    m = state.rho.shape[0].bit_length() - 1
-    n = m - 1
-    if n < 2:
-        return 0.0
-    count_m = (1 << (m - 1)) - 1
+        return entanglement.average_log_negativity(states)
+    n = states.shape[-1].bit_length() - 1
+    count_m = (1 << n) - 1
     count_n = (1 << (n - 1)) - 1
-    sigma = _collapsed_work_block(state)
-    return 2.0 * count_n * entanglement.average_log_negativity(sigma) / count_m
+    return 2.0 * count_n * entanglement.average_log_negativity(states) / count_m
 
 
-def _branch_mixedness(state: ComputerState, post_measure: bool) -> float:
-    if post_measure:
-        return entanglement.mixedness(_collapsed_work_block(state))
-    return entanglement.mixedness(state.rho)
+def _tree_steps(inst: ShorInstance, kind: InitialStateKind, epsilon: float):
+    """Step every live branch of the measurement tree through the L stages.
 
-
-def _stage_report(branches: list[BranchNode], stage: int, kind: str) -> StageReport:
-    post_measure = kind == "post_measure"
-    e_av = 0.0
-    s_av = 0.0
-    for b in branches:
-        e_av += b.path_prob * _branch_entanglement(b.state, post_measure)
-        s_av += b.path_prob * _branch_mixedness(b.state, post_measure)
-    return StageReport(stage=stage, kind=kind, avg_logneg=e_av, mixedness=s_av)
-
-
-def _tree_run(
-    inst: ShorInstance,
-    kind: InitialStateKind,
-    epsilon: float,
-    collect: bool,
-) -> TreeResult:
-    branches = [BranchNode(circuit.initial_state(inst, kind, epsilon), 1.0)]
-    reports: list[StageReport] = []
+    Yields (point, probs, states, c) for each chunk at each of the 2L
+    sampling points: point 2s after stage s's gates, with the full states,
+    and point 2s + 1 after its measurement, with the work blocks sigma of
+    the measured states |bit><bit| (x) sigma.  `probs` are the path
+    probabilities and `c` the outcome bits measured so far, bit s with
+    weight 2^s.  Between stages only the work blocks are kept; each stage
+    re-prepares the control of a chunk of at most CHUNK_BYTES, runs its
+    gates and measures it.
+    """
+    chunk = _chunk_size(inst)
+    half = 1 << inst.n
+    sigma = np.diag(circuit.work_distribution(inst, kind)).astype(complex)[None]
+    probs = np.ones(1)
+    c = np.zeros(1, dtype=np.int64)
     for s in range(inst.L):
-        branches = [
-            BranchNode(circuit.run_stage_gates(b.state, s, inst), b.path_prob)
-            for b in branches
-        ]
-        if collect:
-            reports.append(_stage_report(branches, s, "post_gate"))
-        grown: list[BranchNode] = []
-        for b in branches:
-            (p0, s0), (p1, s1) = circuit.measure_control(b.state)
-            if s0 is not None:
-                grown.append(BranchNode(s0, b.path_prob * p0))
-            if s1 is not None:
-                grown.append(BranchNode(s1, b.path_prob * p1))
-        branches = grown
-        if collect:
-            reports.append(_stage_report(branches, s, "post_measure"))
-        total = sum(b.path_prob for b in branches)
+        grown, total = [], 0.0
+        for lo in range(0, probs.size, chunk):
+            part = slice(lo, lo + chunk)
+            chunk_probs, chunk_c = probs[part], c[part]
+            bits = tuple((chunk_c >> k) & 1 for k in range(s))
+            rho = circuit.plus_control(sigma[part], epsilon)
+            state = circuit.run_stage_gates(ComputerState(rho, s, bits), s, inst)
+            yield 2 * s, chunk_probs, state.rho, chunk_c
+            kids = []
+            for bit, (p, branch) in enumerate(circuit.measure_control(state)):
+                if branch is not None:
+                    live = p >= circuit.DEAD_BRANCH_TOL
+                    block = slice(bit * half, (bit + 1) * half)
+                    kids.append((
+                        branch.rho[:, block, block],
+                        chunk_probs[live] * p[live],
+                        chunk_c[live] | bit << s,
+                    ))
+            kid_sigma, kid_probs, kid_c = (np.concatenate(x) for x in zip(*kids))
+            yield 2 * s + 1, kid_probs, kid_sigma, kid_c
+            total += kid_probs.sum()
+            if s < inst.L - 1:
+                grown.append((kid_sigma, kid_probs, kid_c))
         if abs(total - 1.0) > 1e-9:
             raise RuntimeError(f"leaf probabilities sum to {total} at stage {s}")
-        if s < inst.L - 1:
-            branches = [
-                BranchNode(circuit.reprepare_control(b.state, epsilon), b.path_prob)
-                for b in branches
-            ]
-    leaf = np.zeros(inst.t)
-    for b in branches:
-        c = 0
-        for i, bit in enumerate(b.state.bits):
-            c |= bit << i
-        leaf[c] += b.path_prob
-    return TreeResult(reports=tuple(reports), leaf_probs=leaf)
+        if grown:
+            sigma, probs, c = (np.concatenate(x) for x in zip(*grown))
 
 
 def tree_profile(
@@ -190,9 +168,23 @@ def tree_profile(
     """
     if noise is not None:
         raise ValueError("tree simulation is exact; noise requires monte_carlo_sweep")
-    if not 0.0 <= epsilon <= 0.5:
-        raise ValueError(f"epsilon={epsilon} outside [0, 1/2]")
-    return _tree_run(inst, kind, epsilon, collect=True)
+    points = 2 * inst.L
+    e_av, s_av, leaf = np.zeros(points), np.zeros(points), np.zeros(inst.t)
+    for point, probs, states, c in _tree_steps(inst, kind, epsilon):
+        e_av[point] += probs @ _point_entanglement(states, point % 2 == 1)
+        s_av[point] += probs @ entanglement.mixedness(states)
+        if point == points - 1:
+            leaf += np.bincount(c, probs, inst.t)
+    reports = tuple(
+        StageReport(
+            stage=i // 2,
+            kind=_POINT_KINDS[i % 2],
+            avg_logneg=float(e_av[i]),
+            mixedness=float(s_av[i]),
+        )
+        for i in range(points)
+    )
+    return TreeResult(reports=reports, leaf_probs=leaf)
 
 
 def tree_leaf_distribution(
@@ -203,9 +195,11 @@ def tree_leaf_distribution(
     Skips the per-stage entanglement bookkeeping of tree_profile; used for
     oracle comparisons where only the leaf probabilities matter.
     """
-    if not 0.0 <= epsilon <= 0.5:
-        raise ValueError(f"epsilon={epsilon} outside [0, 1/2]")
-    return _tree_run(inst, kind, epsilon, collect=False).leaf_probs
+    leaf = np.zeros(inst.t)
+    for point, probs, _, c in _tree_steps(inst, kind, epsilon):
+        if point == 2 * inst.L - 1:
+            leaf += np.bincount(c, probs, inst.t)
+    return leaf
 
 
 def ensemble_instances(bits: int) -> list[ShorInstance]:
@@ -285,11 +279,9 @@ def _run_stack(
     draws = _Columns(uniforms)
     rho = np.repeat(circuit.initial_state(inst, kind).rho[None], runs, axis=0)
     bits: list[np.ndarray] = []
-    gate_index = 0
     for s in range(inst.L):
         for _name, apply in circuit.stage_gates(inst, s, bits):
-            rho = noise_pass(apply(rho), cfg, gate_index, draws)
-            gate_index += 1
+            rho = noise_pass(apply(rho), cfg, draws)
         if densemat.validation_enabled():
             densemat.assert_valid_state(rho, context=f"stage {s} gates")
         bit, sigma = circuit.sample_control(rho, draws.random())
@@ -323,8 +315,7 @@ def _sweep_outcomes(
     seed: int,
 ) -> np.ndarray:
     """Outcomes of runs 0..runs-1, stepped in chunks of CHUNK_BYTES per stacked state."""
-    dim = 1 << inst.m
-    chunk = max(1, CHUNK_BYTES // (16 * dim * dim))
+    chunk = _chunk_size(inst)
     total = _draws_per_run(inst, cfg)
     outcomes = []
     for first in range(0, runs, chunk):
@@ -355,7 +346,7 @@ def monte_carlo_sweep(
     mask = extraction_success_mask(inst)
     rows = []
     for prob in probs:
-        cfg = None if prob == 0.0 else NoiseConfig(noise_kind, prob, exclude_control, seed)
+        cfg = None if prob == 0.0 else NoiseConfig(noise_kind, prob, exclude_control)
         outcomes = _sweep_outcomes(inst, kind, cfg, runs, seed)
         successes = int(np.count_nonzero(mask[outcomes]))
         rows.append(SweepRow(prob=float(prob), successes=successes, runs=runs, rate=successes / runs))
@@ -378,9 +369,7 @@ def success_probability_exact(
     inst: ShorInstance, kind: InitialStateKind, epsilon: float = 0.0
 ) -> float:
     """Exact success probability from the noise-free tree leaf distribution."""
-    if not 0.0 <= epsilon <= 0.5:
-        raise ValueError(f"epsilon={epsilon} outside [0, 1/2]")
-    leaf = _tree_run(inst, kind, epsilon, collect=False).leaf_probs
+    leaf = tree_leaf_distribution(inst, kind, epsilon)
     return float(leaf[extraction_success_mask(inst)].sum())
 
 
@@ -424,31 +413,10 @@ def _average_entanglement(
     """
     points = 2 * inst.L
     running = 0.0
-    branches = [BranchNode(circuit.initial_state(inst, kind, epsilon), 1.0)]
-    for s in range(inst.L):
-        branches = [
-            BranchNode(circuit.run_stage_gates(b.state, s, inst), b.path_prob)
-            for b in branches
-        ]
-        for post_measure in (False, True):
-            if post_measure:
-                grown: list[BranchNode] = []
-                for b in branches:
-                    (p0, s0), (p1, s1) = circuit.measure_control(b.state)
-                    if s0 is not None:
-                        grown.append(BranchNode(s0, b.path_prob * p0))
-                    if s1 is not None:
-                        grown.append(BranchNode(s1, b.path_prob * p1))
-                branches = grown
-            for b in branches:
-                running += b.path_prob * _branch_entanglement(b.state, post_measure)
-            if stop_above is not None and running / points >= stop_above:
-                return running / points
-        if s < inst.L - 1:
-            branches = [
-                BranchNode(circuit.reprepare_control(b.state, epsilon), b.path_prob)
-                for b in branches
-            ]
+    for point, probs, states, _ in _tree_steps(inst, kind, epsilon):
+        running += probs @ _point_entanglement(states, point % 2 == 1)
+        if stop_above is not None and running / points >= stop_above:
+            return running / points
     return running / points
 
 

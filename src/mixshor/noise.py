@@ -33,7 +33,6 @@ class NoiseConfig:
     kind: str
     prob: float
     exclude_control: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in (MEASUREMENT, PAULI):
@@ -88,9 +87,7 @@ def depolarize_qubit(rho: np.ndarray, q: int) -> np.ndarray:
     return out.reshape(rho.shape)
 
 
-def noise_pass(
-    rho: np.ndarray, config: NoiseConfig | None, gate_index: int, rng
-) -> np.ndarray:
+def noise_pass(rho: np.ndarray, config: NoiseConfig | None, rng) -> np.ndarray:
     """One post-gate noise opportunity for every qubit.
 
     `rho` is one state or a (B, d, d) stack of trajectories.  Per qubit in
@@ -99,8 +96,7 @@ def noise_pass(
     per member for a stack, and the configured channel is applied to the
     states whose draw falls below prob.  `rng` must hold each
     trajectory's dedicated stream so results are reproducible independent
-    of scheduling; gate_index documents the position in the circuit for
-    callers that key their streams finer.
+    of scheduling.
     """
     if config is None or config.prob == 0.0:
         return rho
@@ -116,5 +112,5 @@ def noise_pass(
                 out = rho.copy()
             out[hits] = channel(out[hits], q)
     if densemat.validation_enabled():
-        densemat.assert_valid_state(out, context=f"noise after gate {gate_index}")
+        densemat.assert_valid_state(out, context="noise pass")
     return out

@@ -272,7 +272,7 @@ def test_criterion_8_invariant_suite(rng):
         check(noise.depolarize_qubit(rho, q))
         ops_checked["depolarize_qubit"] += 1
         cfg = NoiseConfig(PAULI if rng.random() < 0.5 else MEASUREMENT, float(rng.random()))
-        check(noise.noise_pass(rho, cfg, 0, rng))
+        check(noise.noise_pass(rho, cfg, rng))
         ops_checked["noise_pass"] += 1
 
     sym_dev = 0.0

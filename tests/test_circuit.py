@@ -226,6 +226,49 @@ class TestMeasureControl:
             measure_control(zero)
 
 
+class TestMeasureControlStack:
+    # a (B, d, d) stack measures each member exactly as it is measured alone
+    def _alone(self, states, history):
+        return [
+            measure_control(ComputerState(rho=rho, stage=1, bits=(int(bit),)))
+            for rho, bit in zip(states, history)
+        ]
+
+    def _check(self, states, history):
+        stacked = measure_control(ComputerState(rho=np.stack(states), stage=1, bits=(history,)))
+        alone = self._alone(states, history)
+        for bit, (p, branch) in enumerate(stacked):
+            assert np.array_equal(p, [one[bit][0] for one in alone])
+            survivors = [one[bit][1] for one in alone if one[bit][1] is not None]
+            if not survivors:
+                assert branch is None
+                continue
+            assert branch.stage == 2
+            assert np.array_equal(branch.rho, np.stack([b.rho for b in survivors]))
+            for k in range(2):
+                assert np.array_equal(branch.bits[k], [b.bits[k] for b in survivors])
+        return stacked
+
+    def test_members_match_alone(self, rng):
+        # random states, both definite controls, and a control whose |1>
+        # weight 1e-15 is below DEAD_BRANCH_TOL
+        sigma = random_density_matrix(4, rng)
+        states = [random_density_matrix(8, rng) for _ in range(3)] + [
+            densemat.kron(np.diag([1.0, 0.0]), sigma),
+            densemat.kron(np.diag([0.0, 1.0]), sigma),
+            densemat.kron(np.diag([1 - 1e-15, 1e-15]), sigma),
+        ]
+        (_, b0), (_, b1) = self._check(states, np.array([0, 1, 0, 1, 1, 0]))
+        assert len(b0.rho) == 5 and len(b1.rho) == 4
+
+    def test_outcome_dead_for_every_member(self, rng):
+        control0 = np.diag([1.0, 0.0])
+        states = [densemat.kron(control0, random_density_matrix(4, rng)) for _ in range(3)]
+        (p0, b0), (p1, b1) = self._check(states, np.array([1, 0, 1]))
+        assert b1 is None and len(b0.rho) == 3
+        assert np.array_equal(p1, np.zeros(3))
+
+
 class TestSampleControl:
     def test_dead_outcome_never_chosen(self):
         # control |1>, |0>, and |0> with weight 1e-15: a draw below a dead
@@ -252,6 +295,74 @@ class TestSampleControl:
             assert bit == (0 if draw < p0 else 1)
             expected = reprepare_control(b0 if bit == 0 else b1).rho
             assert np.array_equal(member, expected)
+
+
+def mix_then_hadamard(measured, bit, epsilon):
+    """The former re-preparation, kept as the reference for the closed form.
+
+    Flips the control to |0> when the measured bit is 1, mixes the state
+    with its control-flipped copy in proportions (1-eps, eps), skipped at
+    eps = 0, and applies the Hadamard to the control block by block.
+    """
+    half = measured.shape[0] // 2
+
+    def flip(rho):
+        out = np.empty_like(rho)
+        out[:half, :half] = rho[half:, half:]
+        out[half:, half:] = rho[:half, :half]
+        out[:half, half:] = rho[half:, :half]
+        out[half:, :half] = rho[:half, half:]
+        return out
+
+    rho = flip(measured) if bit else measured
+    if epsilon:
+        rho = (1.0 - epsilon) * rho + epsilon * flip(rho)
+    a, b = rho[:half, :half], rho[:half, half:]
+    c, d = rho[half:, :half], rho[half:, half:]
+    out = np.empty_like(rho)
+    out[:half, :half] = (a + b + c + d) * 0.5
+    out[:half, half:] = (a - b + c - d) * 0.5
+    out[half:, :half] = (a + b - c - d) * 0.5
+    out[half:, half:] = (a - b - c + d) * 0.5
+    return out
+
+
+class TestClosedFormPreparation:
+    EPSILONS = (0.0, 0.1, 0.25, 0.5)
+
+    def test_reprepare_matches_mix_then_hadamard(self, rng):
+        sigma = random_density_matrix(8, rng)
+        for bit in (0, 1):
+            measured = densemat.kron(np.diag([1.0 - bit, float(bit)]), sigma)
+            state = ComputerState(rho=measured, stage=1, bits=(bit,))
+            for eps in self.EPSILONS:
+                got = reprepare_control(state, eps).rho
+                expected = mix_then_hadamard(measured, bit, eps)
+                if eps == 0.0:
+                    assert np.array_equal(got, expected)
+                assert np.max(np.abs(got - expected)) < 1e-15, (bit, eps)
+
+    def test_initial_state_matches_mix_then_hadamard(self):
+        inst = build_instance(15, 2)
+        for kind in (PURE, MIXED_N, MIXED_FULL):
+            start = densemat.kron(np.diag([1.0, 0.0]), np.diag(work_distribution(inst, kind)))
+            for eps in self.EPSILONS:
+                got = initial_state(inst, kind, eps).rho
+                expected = mix_then_hadamard(start, 0, eps)
+                if eps == 0.0:
+                    assert np.array_equal(got, expected)
+                assert np.max(np.abs(got - expected)) < 1e-15, (kind, eps)
+
+    def test_stack_reprepares_each_member(self, rng):
+        bits = np.array([0, 1, 1])
+        members = [
+            densemat.kron(np.diag([1.0 - b, float(b)]), random_density_matrix(4, rng)) for b in bits
+        ]
+        stack = ComputerState(rho=np.stack(members), stage=1, bits=(bits,))
+        got = reprepare_control(stack, 0.1).rho
+        for member, rho, bit in zip(got, members, bits):
+            alone = ComputerState(rho=rho, stage=1, bits=(int(bit),))
+            assert np.array_equal(member, reprepare_control(alone, 0.1).rho)
 
 
 class TestReprepareControl:

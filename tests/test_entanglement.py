@@ -147,3 +147,28 @@ class TestMixedness:
 
     def test_maximally_mixed(self):
         assert abs(mixedness(np.eye(16, dtype=complex) / 16) - 4.0) < 1e-12
+
+
+class TestStacks:
+    # a (B, d, d) stack gives each member exactly the value it gets alone:
+    # pure (entangled), rank 2 and full-rank states, plus the maximally
+    # mixed state, whose log-negativities are all clamped to zero
+    def _stack(self, dim, rng):
+        members = [random_density_matrix(dim, rng, rank=r) for r in (1, 2, dim)]
+        return np.stack(members + [np.eye(dim, dtype=complex) / dim])
+
+    @pytest.mark.parametrize("dim", [4, 8, 16, 32, 64])
+    def test_average_log_negativity_per_member(self, dim, rng):
+        stack = self._stack(dim, rng)
+        got = average_log_negativity(stack)
+        assert got.shape == (4,)
+        assert np.array_equal(got, [average_log_negativity(rho) for rho in stack])
+        assert got[0] > 0.0 and got[3] == 0.0
+
+    @pytest.mark.parametrize("dim", [4, 8, 16, 32, 64])
+    def test_mixedness_per_member(self, dim, rng):
+        stack = self._stack(dim, rng)
+        got = mixedness(stack)
+        assert got.shape == (4,)
+        assert np.array_equal(got, [mixedness(rho) for rho in stack])
+        assert abs(got[3] - np.log2(dim)) < 1e-12

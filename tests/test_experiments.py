@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mixshor import densemat, experiments
+from mixshor import circuit, densemat, experiments
 from mixshor.circuit import (
     ComputerState,
     InitialStateKind,
@@ -13,7 +13,7 @@ from mixshor.circuit import (
     run_stage_gates,
     stage_gates,
 )
-from mixshor.entanglement import average_log_negativity, mixedness
+from mixshor.entanglement import CLAMP_TOL, average_log_negativity, mixedness
 from mixshor.experiments import (
     ensemble_instances,
     extraction_success_mask,
@@ -23,9 +23,11 @@ from mixshor.experiments import (
     random_baseline,
     run_trajectory,
     success_probability_exact,
+    tree_leaf_distribution,
     tree_profile,
 )
 from mixshor.noise import MEASUREMENT, PAULI, NoiseConfig, noise_pass
+from mixshor.numtheory import coprime_list, is_prime, multiplicative_order
 
 PURE = InitialStateKind.PURE
 MIXED_N = InitialStateKind.MIXED_N
@@ -76,7 +78,7 @@ def reference_trajectory(inst, kind, cfg, rng):
     for s in range(inst.L):
         rho = state.rho
         for _name, apply in stage_gates(inst, s, state.bits):
-            rho = noise_pass(apply(rho), cfg, 0, rng)
+            rho = noise_pass(apply(rho), cfg, rng)
         (p0, b0), (p1, b1) = measure_control(ComputerState(rho, state.stage, state.bits))
         draw = rng.random()
         state = b0 if b1 is None or (b0 is not None and draw < p0) else b1
@@ -142,22 +144,71 @@ class TestTreeProfile:
         assert np.allclose(leaf, result.leaf_probs, atol=1e-12)
 
     def test_post_measure_fast_path_matches_direct_evaluation(self):
-        # the collapsed-control shortcut must agree with the full-matrix path;
-        # N=9, a=2 branches from the very first stage
+        # the collapsed-control shortcut on the work block must agree with
+        # the full-matrix path; N=9, a=2 branches from the very first stage
         inst = build_instance(9, 2)
         state = run_stage_gates(initial_state(inst, MIXED_N), 0, inst)
-        for _, branch in measure_control(state):
+        half = state.rho.shape[0] // 2
+        for bit, (_, branch) in enumerate(measure_control(state)):
             assert branch is not None
-            fast_e = experiments._branch_entanglement(branch, post_measure=True)
+            block = slice(bit * half, (bit + 1) * half)
+            sigma = branch.rho[block, block]
+            fast_e = experiments._point_entanglement(sigma[None], post_measure=True)[0]
             full_e = average_log_negativity(branch.rho)
             assert abs(fast_e - full_e) < 1e-12
-            fast_s = experiments._branch_mixedness(branch, post_measure=True)
+            fast_s = mixedness(sigma)
             assert abs(fast_s - mixedness(branch.rho)) < 1e-9
+
+    def test_leaf_sum_residual_checked_by_every_tree_caller(self, monkeypatch):
+        # a measurement that loses 10 % of the probability must stop every
+        # caller of the tree stepper, the early-stop average included
+        measure = circuit.measure_control
+
+        def leaky(state):
+            (p0, b0), (p1, b1) = measure(state)
+            return (p0 * 0.9, b0), (p1 * 0.9, b1)
+
+        monkeypatch.setattr(circuit, "measure_control", leaky)
+        inst = build_instance(15, 2)
+        callers = (
+            lambda: tree_profile(inst, PURE),
+            lambda: tree_leaf_distribution(inst, PURE),
+            lambda: success_probability_exact(inst, PURE),
+            lambda: experiments._average_entanglement(inst, PURE, 0.0, stop_above=CLAMP_TOL),
+        )
+        for run in callers:
+            with pytest.raises(RuntimeError, match="leaf probabilities sum to 0.9"):
+                run()
 
     def test_noise_rejected(self):
         inst = build_instance(15, 2)
         with pytest.raises(ValueError):
             tree_profile(inst, PURE, noise=NoiseConfig(PAULI, 0.1))
+
+
+def oracle_pairs():
+    """Per composite N in 6..31: the base of largest order (smallest on ties) and N - 1."""
+    pairs = []
+    for n in range(6, 32):
+        if is_prime(n):
+            continue
+        orders = {a: multiplicative_order(a, n) for a in coprime_list(n)}
+        largest = min(a for a, r in orders.items() if r == max(orders.values()))
+        pairs += [(n, a) for a in sorted({largest, n - 1})]
+    return pairs
+
+
+class TestOracleSweep:
+    def test_pair_count(self):
+        # N = 6 has the single base 5, which is both
+        assert len(oracle_pairs()) == 35
+
+    @pytest.mark.parametrize("n, a", oracle_pairs())
+    def test_leaf_distribution_matches_reference(self, n, a):
+        inst = build_instance(n, a)
+        for kind in (PURE, MIXED_N, MIXED_FULL):
+            leaf = tree_leaf_distribution(inst, kind)
+            assert np.max(np.abs(leaf - reference_distribution(inst, kind))) < 1e-12, kind
 
 
 class TestSuccessProbabilities:

@@ -140,33 +140,33 @@ class TestNoisePass:
     def test_zero_probability_is_identity(self, rng):
         rho = random_density_matrix(8, rng)
         cfg = NoiseConfig(PAULI, 0.0)
-        assert np.allclose(noise_pass(rho, cfg, 0, np.random.default_rng(0)), rho)
-        assert np.allclose(noise_pass(rho, None, 0, np.random.default_rng(0)), rho)
+        assert np.allclose(noise_pass(rho, cfg, np.random.default_rng(0)), rho)
+        assert np.allclose(noise_pass(rho, None, np.random.default_rng(0)), rho)
 
     def test_certain_pauli_randomizes_everything(self, rng):
         rho = random_density_matrix(8, rng)
         cfg = NoiseConfig(PAULI, 1.0, exclude_control=False)
-        out = noise_pass(rho, cfg, 0, np.random.default_rng(0))
+        out = noise_pass(rho, cfg, np.random.default_rng(0))
         assert np.allclose(out, np.eye(8) / 8, atol=1e-12)
 
     def test_certain_measurement_fixes_diagonal_states(self, rng):
         diag = np.diag(rng.random(8)).astype(complex)
         diag /= np.trace(diag).real
         cfg = NoiseConfig(MEASUREMENT, 1.0)
-        assert np.allclose(noise_pass(diag, cfg, 0, np.random.default_rng(0)), diag)
+        assert np.allclose(noise_pass(diag, cfg, np.random.default_rng(0)), diag)
 
     def test_exclude_control_skips_qubit_zero(self, rng):
         rho = densemat.kron(plus_state(), random_density_matrix(4, rng))
         cfg = NoiseConfig(MEASUREMENT, 1.0, exclude_control=True)
-        out = noise_pass(rho, cfg, 0, np.random.default_rng(0))
+        out = noise_pass(rho, cfg, np.random.default_rng(0))
         control = densemat.partial_trace(out, {1, 2})
         assert np.allclose(control, plus_state(), atol=1e-12)
 
     def test_reproducible_given_stream(self, rng):
         rho = random_density_matrix(8, rng)
-        cfg = NoiseConfig(PAULI, 0.5, seed=3)
-        a = noise_pass(rho, cfg, 0, np.random.default_rng(42))
-        b = noise_pass(rho, cfg, 0, np.random.default_rng(42))
+        cfg = NoiseConfig(PAULI, 0.5)
+        a = noise_pass(rho, cfg, np.random.default_rng(42))
+        b = noise_pass(rho, cfg, np.random.default_rng(42))
         assert np.array_equal(a, b)
 
     def test_invalid_config_rejected(self):
@@ -186,7 +186,7 @@ class TestNoisePass:
             def random(self):
                 return next(draws)
 
-        out = noise_pass(stack, NoiseConfig(PAULI, 0.5), 0, Columns())
+        out = noise_pass(stack, NoiseConfig(PAULI, 0.5), Columns())
         assert np.array_equal(out[0], depolarize_qubit(stack[0], 0))
         assert np.array_equal(out[1], depolarize_qubit(stack[1], 1))
         assert np.array_equal(out[2], depolarize_qubit(stack[2], 0))
