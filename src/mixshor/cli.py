@@ -9,6 +9,7 @@ seed) produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -40,12 +41,15 @@ def write_csv(rows, schema, path) -> None:
 
 
 def _parse_values(text: str) -> list[float]:
-    """Grid syntax: either 'v1,v2,...' or 'start:stop:step' (ends inclusive)."""
+    """Grid syntax: either 'v1,v2,...' or 'start:stop:step' (ends inclusive).
+
+    Every part must be finite and the grid must not be empty.
+    """
     if ":" in text:
         pieces = text.split(":")
         if len(pieces) != 3:
             raise ValueError(f"bad range {text!r}, expected start:stop:step")
-        start, stop, step = (float(p) for p in pieces)
+        start, stop, step = _finite(pieces, text)
         if step <= 0:
             raise ValueError("range step must be positive")
         values = []
@@ -53,8 +57,18 @@ def _parse_values(text: str) -> list[float]:
         while (v := start + i * step) <= stop + 1e-12:
             values.append(round(v, 12))
             i += 1
-        return values
-    return [float(p) for p in text.split(",") if p]
+    else:
+        values = _finite([p for p in text.split(",") if p], text)
+    if not values:
+        raise ValueError(f"grid {text!r} is empty")
+    return values
+
+
+def _finite(pieces, text: str) -> list[float]:
+    values = [float(p) for p in pieces]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"grid {text!r} has a non-finite value")
+    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -13,6 +13,8 @@ that are too slow to leave on during production sweeps.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -206,8 +208,107 @@ def von_neumann_entropy(rho: np.ndarray):
     Slightly negative eigenvalues from roundoff are clamped to zero.  A
     stack of states along leading axes gives one entropy per member.
     """
-    vals = np.linalg.eigvalsh(rho)
+    dim = rho.shape[-1]
+    sums = _spectral_sums(rho.reshape(-1, dim, dim), ((),), _plogp)
+    entropy = -sums[:, 0]
+    return float(entropy[0]) if rho.ndim == 2 else entropy.reshape(rho.shape[:-2])
+
+
+def _plogp(vals: np.ndarray) -> np.ndarray:
     positive = vals > 0.0
-    terms = np.where(positive, vals, 0.0) * np.log2(np.where(positive, vals, 1.0))
-    entropy = -terms.sum(axis=-1)
-    return float(entropy) if rho.ndim == 2 else entropy
+    return np.where(positive, vals, 0.0) * np.log2(np.where(positive, vals, 1.0))
+
+
+def _transpose_map(dim: int, subset: tuple[int, ...]) -> np.ndarray:
+    """(dim, dim) flat indices: member.ravel()[map] is its partial transpose over `subset`."""
+    index = np.arange(dim * dim)
+    if subset:
+        m = dim.bit_length() - 1
+        axes = list(range(2 * m))
+        for q in subset:
+            axes[q], axes[m + q] = axes[m + q], axes[q]
+        index = index.reshape((2,) * (2 * m)).transpose(axes)
+    return index.reshape(dim, dim)
+
+
+@lru_cache(maxsize=256)
+def _block_plan(pattern: bytes, dim: int, subsets: tuple[tuple[int, ...], ...]):
+    """Gather indices of the independent blocks of a sparsity pattern's partial transposes.
+
+    `pattern` is the packed nonzero pattern of a flat (dim, dim) member and
+    each subset names the qubits transposed (the empty subset is the
+    identity).  The blocks of a transposed pattern are the connected
+    components of its graph: every node takes the smallest label among
+    itself and its neighbours, then the label of its label, until nothing
+    changes, which labels each component by its smallest index.
+
+    Returns one (count, s, s) array of flat member indices per distinct
+    block of size s, sizes ascending, and the gather that takes the
+    blocks' values (the entries of 1x1 blocks, the eigenvalues of the
+    others, in that order) to subset-major order, dim values per subset.
+    """
+    nonzero = np.unpackbits(np.frombuffer(pattern, np.uint8), count=dim * dim).astype(bool)
+    index = np.stack([_transpose_map(dim, subset) for subset in subsets])
+    adj = nonzero[index]
+    adj |= adj.transpose(0, 2, 1)
+    label = np.broadcast_to(np.arange(dim), (len(subsets), dim))
+    while True:
+        new = np.where(adj, label[:, None, :], label[:, :, None]).min(axis=2)
+        new = np.take_along_axis(new, new, axis=1)
+        if np.array_equal(new, label):
+            break
+        label = new
+    # positions k * dim + node, grouped by component in (subset, root, node) order
+    comp = (label + dim * np.arange(len(subsets))[:, None]).ravel()
+    pos = np.argsort(comp, kind="stable")
+    first = np.flatnonzero(np.diff(comp[pos], prepend=-1))
+    size = np.diff(first, append=comp.size)
+    blocks, owner, source, offset = [], [], [], 0
+    for s in np.flatnonzero(np.bincount(size)):
+        k, node = np.divmod(pos[first[size == s][:, None] + np.arange(s)], dim)
+        gather = index[k[:, :, None], node[:, :, None], node[:, None, :]]
+        # a block gathered by several subsets is solved once
+        distinct: dict[bytes, int] = {}
+        keep, inverse = [], np.empty(len(k), dtype=np.intp)
+        for i, block in enumerate(gather):
+            key = block.tobytes()
+            if key not in distinct:
+                distinct[key] = len(keep)
+                keep.append(i)
+            inverse[i] = distinct[key]
+        blocks.append(gather[keep])
+        owner.append(k.ravel())
+        source.append(offset + (inverse[:, None] * s + np.arange(s)).ravel())
+        offset += len(keep) * s
+    order = np.argsort(np.concatenate(owner), kind="stable")
+    return blocks, np.concatenate(source)[order]
+
+
+def _spectral_sums(stack: np.ndarray, subsets, term) -> np.ndarray:
+    """Per member and subset, the sum of term(lam) over the partial transpose's eigenvalues.
+
+    `stack` is (B, d, d) and `term` must map 0 to 0.  Each member is split
+    by its own nonzero pattern: entries outside a block are exact zeros,
+    so a matrix's spectrum is the union of its blocks' spectra, and only
+    blocks of size two or more go through eigvalsh.  Members are grouped
+    by pattern, so every member gets bitwise the value it gets alone.
+    Returns a (B, len(subsets)) array.
+    """
+    count, dim = len(stack), stack.shape[-1]
+    flat = stack.reshape(count, dim * dim)
+    groups: dict[bytes, list[int]] = {}
+    for i, key in enumerate(np.packbits(flat != 0, axis=1)):
+        groups.setdefault(key.tobytes(), []).append(i)
+    sums = np.empty((count, len(subsets)))
+    for key, members in groups.items():
+        blocks, layout = _block_plan(key, dim, subsets)
+        rows = flat[members]
+        vals = []
+        for index in blocks:
+            block = rows[:, index]
+            if index.shape[-1] > 1:
+                block = np.linalg.eigvalsh(block)
+            vals.append(block.real.reshape(len(members), -1))
+        vals = term(np.concatenate(vals, axis=1)[:, layout])
+        sums[members] = np.add.reduceat(vals, np.arange(0, vals.shape[1], dim), axis=1)
+    return sums

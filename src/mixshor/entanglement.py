@@ -39,14 +39,6 @@ def bipartitions(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _transpose_axes(m: int, subset: tuple[int, ...]) -> tuple[int, ...]:
-    axes = list(range(2 * m))
-    for q in subset:
-        axes[q], axes[m + q] = axes[m + q], axes[q]
-    return tuple(axes)
-
-
 def log_negativity(rho: np.ndarray, partition) -> float:
     """log2 of the trace norm of the partial transpose over `partition`."""
     value = float(
@@ -59,20 +51,14 @@ def average_log_negativity(rho: np.ndarray):
     """Unweighted mean of log_negativity over all canonical bipartitions.
 
     `rho` is one state, giving a float, or a (B, d, d) stack, giving one
-    value per member.  The partial transposes of every member are stacked
-    and diagonalized in one batched call; this is the inner loop of the
-    tree simulations.
+    value per member.  Each partial transpose is diagonalized block by
+    block over the member's own nonzero pattern; this is the inner loop
+    of the tree simulations.
     """
     dim = rho.shape[-1]
     members = rho.reshape(-1, dim, dim)
-    m = densemat.num_qubits(members[0])
-    parts = bipartitions(m)
-    tens = members.reshape((len(members),) + (2,) * (2 * m))
-    stack = np.empty((len(members), len(parts)) + (2,) * (2 * m), dtype=complex)
-    for i, subset in enumerate(parts):
-        stack[:, i] = tens.transpose((0,) + tuple(1 + a for a in _transpose_axes(m, subset)))
-    vals = np.linalg.eigvalsh(stack.reshape(len(members), len(parts), dim, dim))
-    e = np.log2(np.abs(vals).sum(axis=-1))
+    parts = bipartitions(densemat.num_qubits(members[0]))
+    e = np.log2(densemat._spectral_sums(members, parts, np.abs))
     e[np.abs(e) < CLAMP_TOL] = 0.0
     means = e.mean(axis=-1)
     return float(means[0]) if rho.ndim == 2 else means

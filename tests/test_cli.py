@@ -43,6 +43,19 @@ class TestParseValues:
         with pytest.raises(ValueError):
             _parse_values("0:1:-0.1")
 
+    @pytest.mark.parametrize(
+        "text", ["0:inf:0.1", "-inf:1:0.1", "nan:1:0.1", "0:nan:0.1", "0:1:nan", "0:1:inf", "0.1,nan", "inf"]
+    )
+    def test_non_finite_rejected(self, text):
+        # 0:inf:0.1 used to loop forever, since stop + 1e-12 is inf
+        with pytest.raises(ValueError, match="non-finite"):
+            _parse_values(text)
+
+    @pytest.mark.parametrize("text", ["1:0:0.1", "0.5:0.4:0.01", ",", ""])
+    def test_empty_grid_rejected(self, text):
+        with pytest.raises(ValueError, match="empty"):
+            _parse_values(text)
+
 
 class TestWriteCsv:
     def test_format(self, tmp_path):
@@ -162,6 +175,26 @@ class TestValidation:
             "--epsilons", "0.8", "--out", str(tmp_path / "x.csv"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("grid", ["0:inf:0.1", "nan:0.5:0.1", "0.5:0:0.1", "nan", ","])
+    def test_bad_noise_grid_exits_2(self, grid, tmp_path):
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            "noise", "--n", "15", "--a", "2", "--kind", "pure", "--noise", "pauli",
+            "--probs", grid, "--runs", "5", "--out", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["0:inf:0.1", "0:0.5:nan", "0.5:0:0.1", "nan", ","])
+    def test_bad_mix_grid_exits_2(self, grid, tmp_path):
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            "mix", "--n", "15", "--a", "2", "--kind", "pure",
+            "--epsilons", grid, "--out", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
 
     def test_mix_writes_header_and_two_rows(self, tmp_path):
         out = tmp_path / "mix.csv"

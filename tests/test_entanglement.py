@@ -172,3 +172,44 @@ class TestStacks:
         assert got.shape == (4,)
         assert np.array_equal(got, [mixedness(rho) for rho in stack])
         assert abs(got[3] - np.log2(dim)) < 1e-12
+
+
+class TestSparsityBlocks:
+    # members that are direct sums of random blocks on shuffled index sets,
+    # with single-index blocks and all-zero rows, each with its own nonzero
+    # pattern; the block-split path must agree with the dense reference path
+    @staticmethod
+    def _direct_sum(dim, sizes, rng):
+        order = rng.permutation(dim)
+        rho = np.zeros((dim, dim), dtype=complex)
+        for start, size in zip(np.cumsum((0,) + sizes), sizes):
+            index = order[start:start + size]
+            rho[np.ix_(index, index)] = rng.uniform(0.5, 1.0) * random_density_matrix(size, rng)
+        return rho / np.trace(rho).real
+
+    def _stack(self, dim, rng):
+        shapes = [(dim // 2, 1, 1), (2, 2, 1), (1,) * (dim // 2), (2,) * (dim // 2), (dim,)]
+        return np.stack([self._direct_sum(dim, sizes, rng) for sizes in shapes])
+
+    @staticmethod
+    def _dense_entropy(rho):
+        vals = np.linalg.eigvalsh(rho)
+        vals = vals[vals > 0.0]
+        return float(-np.sum(vals * np.log2(vals)))
+
+    @pytest.mark.parametrize("dim", [4, 8, 16, 32, 64])
+    def test_average_log_negativity_matches_reference(self, dim, rng):
+        stack = self._stack(dim, rng)
+        parts = bipartitions(densemat.num_qubits(stack[0]))
+        got = average_log_negativity(stack)
+        reference = [np.mean([log_negativity(rho, p) for p in parts]) for rho in stack]
+        assert np.max(np.abs(got - reference)) < 1e-12
+        assert np.array_equal(got, [average_log_negativity(rho) for rho in stack])
+        assert max(got) > 0.0
+
+    @pytest.mark.parametrize("dim", [4, 8, 16, 32, 64])
+    def test_mixedness_matches_dense_entropy(self, dim, rng):
+        stack = self._stack(dim, rng)
+        got = mixedness(stack)
+        assert np.max(np.abs(got - [self._dense_entropy(rho) for rho in stack])) < 1e-12
+        assert np.array_equal(got, [mixedness(rho) for rho in stack])

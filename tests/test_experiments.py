@@ -13,7 +13,13 @@ from mixshor.circuit import (
     run_stage_gates,
     stage_gates,
 )
-from mixshor.entanglement import CLAMP_TOL, average_log_negativity, mixedness
+from mixshor.entanglement import (
+    CLAMP_TOL,
+    average_log_negativity,
+    bipartitions,
+    log_negativity,
+    mixedness,
+)
 from mixshor.experiments import (
     ensemble_instances,
     extraction_success_mask,
@@ -179,6 +185,28 @@ class TestTreeProfile:
         for run in callers:
             with pytest.raises(RuntimeError, match="leaf probabilities sum to 0.9"):
                 run()
+
+    @pytest.mark.parametrize("kind", [PURE, MIXED_N, MIXED_FULL])
+    @pytest.mark.parametrize("eps", [0.0, 0.25])
+    def test_reports_match_dense_reference(self, kind, eps):
+        # every sampling point recomputed with the dense reference path:
+        # log_negativity per bipartition of the full state (a post-measure
+        # state is |bit><bit| (x) sigma) and an entropy from eigvalsh
+        inst = build_instance(15, 2)
+        parts = bipartitions(inst.m)
+        e_av, s_av = np.zeros(2 * inst.L), np.zeros(2 * inst.L)
+        for point, probs, states, c in experiments._tree_steps(inst, kind, eps):
+            for p, rho, path in zip(probs, states, c):
+                if point % 2:
+                    bit = path >> (point // 2) & 1
+                    rho = densemat.kron(np.diag([1 - bit, bit]), rho)
+                e_av[point] += p * np.mean([log_negativity(rho, part) for part in parts])
+                vals = np.linalg.eigvalsh(rho)
+                vals = vals[vals > 0.0]
+                s_av[point] -= p * np.sum(vals * np.log2(vals))
+        reports = tree_profile(inst, kind, epsilon=eps).reports
+        assert np.max(np.abs([r.avg_logneg for r in reports] - e_av)) < 1e-12
+        assert np.max(np.abs([r.mixedness for r in reports] - s_av)) < 1e-12
 
     def test_noise_rejected(self):
         inst = build_instance(15, 2)
