@@ -85,18 +85,20 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_kind(p, default="pure"):
         p.add_argument("--kind", choices=sorted(_KINDS), default=default)
 
+    def add_output(p):
+        p.add_argument("--out", required=True)
+        p.add_argument("--emit-plot", action="store_true")
+
     p = sub.add_parser("profile", help="exact per-stage entanglement and mixedness")
     add_instance_args(p)
     add_kind(p)
     p.add_argument("--epsilon", type=float, default=0.0, help="control mixing strength")
-    p.add_argument("--out", required=True)
-    p.add_argument("--emit-plot", action="store_true")
+    add_output(p)
 
     p = sub.add_parser("ensemble", help="stage profile averaged over all (N, a)")
     p.add_argument("--bits", type=int, choices=(4, 5), required=True)
     add_kind(p, default="mixed-n")
-    p.add_argument("--out", required=True)
-    p.add_argument("--emit-plot", action="store_true")
+    add_output(p)
 
     p = sub.add_parser("noise", help="Monte Carlo success counts over noise levels")
     add_instance_args(p)
@@ -106,15 +108,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exclude-control", action="store_true")
-    p.add_argument("--out", required=True)
-    p.add_argument("--emit-plot", action="store_true")
+    add_output(p)
 
     p = sub.add_parser("mix", help="exact success and entanglement vs control mixing")
     add_instance_args(p)
     add_kind(p)
     p.add_argument("--epsilons", required=True, help="list v1,v2,... or range start:stop:step")
-    p.add_argument("--out", required=True)
-    p.add_argument("--emit-plot", action="store_true")
+    add_output(p)
 
     p = sub.add_parser("baseline", help="success probability of uniform random outcomes")
     add_instance_args(p)
@@ -122,102 +122,68 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", help="compare the staged engine to the closed-form oracle")
     add_instance_args(p)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9, help="finite and positive")
 
     return parser
+
+
+def _emit(args, header, rows, series, xlabel, ylabel, title) -> int:
+    """Write `rows` as CSV to --out and, with --emit-plot, `series` as an SVG beside it."""
+    write_csv(rows, header, args.out)
+    if args.emit_plot:
+        svgplot.write_line_plot(
+            _plot_path(args.out), series, xlabel=xlabel, ylabel=ylabel, title=title
+        )
+    return 0
+
+
+def _emit_stage_reports(args, reports, title) -> int:
+    idx = list(range(len(reports)))
+    series = {
+        "avg_logneg": (idx, [r.avg_logneg for r in reports]),
+        "mixedness": (idx, [r.mixedness for r in reports]),
+    }
+    rows = [(r.stage, r.kind, r.avg_logneg, r.mixedness) for r in reports]
+    header = ["stage", "kind", "avg_logneg", "mixedness"]
+    return _emit(args, header, rows, series, "sampling point", "value", title)
 
 
 def _cmd_profile(args) -> int:
     inst = build_instance(args.n, args.a)
     result = experiments.tree_profile(inst, _KINDS[args.kind], epsilon=args.epsilon)
-    rows = [(r.stage, r.kind, r.avg_logneg, r.mixedness) for r in result.reports]
-    write_csv(rows, ["stage", "kind", "avg_logneg", "mixedness"], args.out)
-    if args.emit_plot:
-        idx = list(range(len(rows)))
-        svgplot.write_line_plot(
-            _plot_path(args.out),
-            {
-                "avg_logneg": (idx, [r.avg_logneg for r in result.reports]),
-                "mixedness": (idx, [r.mixedness for r in result.reports]),
-            },
-            xlabel="sampling point",
-            ylabel="value",
-            title=f"N={args.n} a={args.a} kind={args.kind}",
-        )
-    return 0
+    return _emit_stage_reports(args, result.reports, f"N={args.n} a={args.a} kind={args.kind}")
 
 
 def _cmd_ensemble(args) -> int:
     reports = experiments.ensemble_profile(args.bits, _KINDS[args.kind])
-    rows = [(r.stage, r.kind, r.avg_logneg, r.mixedness) for r in reports]
-    write_csv(rows, ["stage", "kind", "avg_logneg", "mixedness"], args.out)
-    if args.emit_plot:
-        idx = list(range(len(rows)))
-        svgplot.write_line_plot(
-            _plot_path(args.out),
-            {
-                "avg_logneg": (idx, [r.avg_logneg for r in reports]),
-                "mixedness": (idx, [r.mixedness for r in reports]),
-            },
-            xlabel="sampling point",
-            ylabel="value",
-            title=f"{args.bits}-digit ensemble, kind={args.kind}",
-        )
-    return 0
+    return _emit_stage_reports(args, reports, f"{args.bits}-digit ensemble, kind={args.kind}")
 
 
 def _cmd_noise(args) -> int:
     inst = build_instance(args.n, args.a)
-    probs = _parse_values(args.probs)
-    for p in probs:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"noise probability {p} outside [0, 1]")
-    if args.runs < 1:
-        raise ValueError("--runs must be at least 1")
-    rows = experiments.monte_carlo_sweep(
-        inst, _KINDS[args.kind], args.noise, probs, args.runs,
+    sweep = experiments.monte_carlo_sweep(
+        inst, _KINDS[args.kind], args.noise, _parse_values(args.probs), args.runs,
         exclude_control=args.exclude_control, seed=args.seed,
     )
-    write_csv(
-        [(r.prob, r.successes, r.runs, r.rate) for r in rows],
-        ["prob", "successes", "runs", "rate"],
-        args.out,
-    )
-    if args.emit_plot:
-        svgplot.write_line_plot(
-            _plot_path(args.out),
-            {"success rate": ([r.prob for r in rows], [r.rate for r in rows])},
-            xlabel="noise probability",
-            ylabel="success rate",
-            title=f"N={args.n} a={args.a} {args.noise} noise",
-        )
-    return 0
+    series = {"success rate": ([r.prob for r in sweep], [r.rate for r in sweep])}
+    rows = [(r.prob, r.successes, r.runs, r.rate) for r in sweep]
+    header = ["prob", "successes", "runs", "rate"]
+    title = f"N={args.n} a={args.a} {args.noise} noise"
+    return _emit(args, header, rows, series, "noise probability", "success rate", title)
 
 
 def _cmd_mix(args) -> int:
     inst = build_instance(args.n, args.a)
-    epsilons = _parse_values(args.epsilons)
-    rows = experiments.mix_sweep(inst, _KINDS[args.kind], epsilons)
-    write_csv(
-        [(r.epsilon, r.success_prob, r.avg_entanglement) for r in rows],
-        ["epsilon", "success_prob", "avg_entanglement"],
-        args.out,
-    )
-    if args.emit_plot:
-        svgplot.write_line_plot(
-            _plot_path(args.out),
-            {
-                "success_prob": ([r.epsilon for r in rows], [r.success_prob for r in rows]),
-                "avg_entanglement": (
-                    [r.epsilon for r in rows],
-                    [r.avg_entanglement for r in rows],
-                ),
-            },
-            xlabel="epsilon",
-            ylabel="value",
-            title=f"N={args.n} a={args.a} kind={args.kind}",
-        )
-    return 0
+    sweep = experiments.mix_sweep(inst, _KINDS[args.kind], _parse_values(args.epsilons))
+    epsilons = [r.epsilon for r in sweep]
+    series = {
+        "success_prob": (epsilons, [r.success_prob for r in sweep]),
+        "avg_entanglement": (epsilons, [r.avg_entanglement for r in sweep]),
+    }
+    rows = [(r.epsilon, r.success_prob, r.avg_entanglement) for r in sweep]
+    header = ["epsilon", "success_prob", "avg_entanglement"]
+    title = f"N={args.n} a={args.a} kind={args.kind}"
+    return _emit(args, header, rows, series, "epsilon", "value", title)
 
 
 def _cmd_baseline(args) -> int:
@@ -230,6 +196,8 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     inst = build_instance(args.n, args.a)
     worst = 0.0
     for kind in InitialStateKind:

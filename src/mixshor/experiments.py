@@ -153,21 +153,13 @@ def _tree_steps(inst: ShorInstance, kind: InitialStateKind, epsilon: float):
             sigma, probs, c = (np.concatenate(x) for x in zip(*grown))
 
 
-def tree_profile(
-    inst: ShorInstance,
-    kind: InitialStateKind,
-    epsilon: float = 0.0,
-    noise: NoiseConfig | None = None,
-) -> TreeResult:
+def tree_profile(inst: ShorInstance, kind: InitialStateKind, epsilon: float = 0.0) -> TreeResult:
     """Exact branch enumeration with per-stage entanglement and mixedness.
 
     Returns the 2L stage reports (after each controlled multiplication
     and after each measurement) plus the exact leaf distribution over c.
-    Tree mode is exact, so injected noise is rejected; noisy runs go
-    through monte_carlo_sweep.
+    Noisy runs go through monte_carlo_sweep.
     """
-    if noise is not None:
-        raise ValueError("tree simulation is exact; noise requires monte_carlo_sweep")
     points = 2 * inst.L
     e_av, s_av, leaf = np.zeros(points), np.zeros(points), np.zeros(inst.t)
     for point, probs, states, c in _tree_steps(inst, kind, epsilon):
@@ -339,17 +331,19 @@ def monte_carlo_sweep(
     A run succeeds when the continued-fraction extraction of its outcome
     equals the true order.  Run `i` uses the same (seed, i) stream at
     every grid point, so repeated sweeps are reproducible, and its
-    outcome does not depend on how runs are grouped into chunks.
+    outcome does not depend on how runs are grouped into chunks.  Every
+    grid point's configuration is checked before the first run.
     """
+    configs = [NoiseConfig(noise_kind, prob, exclude_control) for prob in probs]
     if runs < 1:
         raise ValueError("need at least one run")
     mask = extraction_success_mask(inst)
     rows = []
-    for prob in probs:
-        cfg = None if prob == 0.0 else NoiseConfig(noise_kind, prob, exclude_control)
+    for cfg in configs:
         outcomes = _sweep_outcomes(inst, kind, cfg, runs, seed)
         successes = int(np.count_nonzero(mask[outcomes]))
-        rows.append(SweepRow(prob=float(prob), successes=successes, runs=runs, rate=successes / runs))
+        rate = successes / runs
+        rows.append(SweepRow(prob=float(cfg.prob), successes=successes, runs=runs, rate=rate))
     return rows
 
 
@@ -437,12 +431,9 @@ def find_entanglement_crossing(
     the bracketing invariant (above threshold on the left, below on the
     right) is maintained throughout.
     """
-    cache: dict[float, float] = {}
 
     def avg_ent(eps: float) -> float:
-        if eps not in cache:
-            cache[eps] = _average_entanglement(inst, kind, eps, stop_above=threshold)
-        return cache[eps]
+        return _average_entanglement(inst, kind, eps, stop_above=threshold)
 
     if avg_ent(0.0) < threshold:
         return 0.0

@@ -102,14 +102,10 @@ def noise_pass(rho: np.ndarray, config: NoiseConfig | None, rng) -> np.ndarray:
         return rho
     channel = dephase_qubit if config.kind == MEASUREMENT else depolarize_qubit
     start = 1 if config.exclude_control else 0
-    out = rho
+    out = rho.copy()
     for q in range(start, _member_qubits(rho)):
         hits = np.asarray(rng.random() < config.prob)
-        if hits.all():
-            out = channel(out, q)
-        elif hits.any():
-            if out is rho:
-                out = rho.copy()
+        if hits.any():
             out[hits] = channel(out[hits], q)
     if densemat.validation_enabled():
         densemat.assert_valid_state(out, context="noise pass")

@@ -4,6 +4,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
+from mixshor import experiments
 from mixshor.cli import _parse_values, parse_and_run, write_csv
 
 
@@ -133,6 +134,56 @@ class TestMixCommand:
         assert len(lines) == 4
 
 
+class TestEmission:
+    @pytest.mark.parametrize(
+        "args, header, rows, labels",
+        [
+            (
+                ["ensemble", "--bits", "4"],
+                "stage,kind,avg_logneg,mixedness",
+                16,
+                ["avg_logneg", "mixedness"],
+            ),
+            (
+                ["noise", "--n", "15", "--a", "2", "--noise", "measurement", "--probs", "0,0.2,0.4",
+                 "--runs", "20", "--seed", "3"],
+                "prob,successes,runs,rate",
+                3,
+                ["success rate"],
+            ),
+            (
+                ["mix", "--n", "10", "--a", "3", "--epsilons", "0,0.25,0.5"],
+                "epsilon,success_prob,avg_entanglement",
+                3,
+                ["success_prob", "avg_entanglement"],
+            ),
+        ],
+        ids=["ensemble", "noise", "mix"],
+    )
+    def test_csv_and_plot(self, args, header, rows, labels, tmp_path):
+        out = tmp_path / "result.csv"
+        assert run_cli(*args, "--out", str(out), "--emit-plot") == 0
+        lines = out.read_text().strip().split("\n")
+        assert lines[0] == header
+        assert len(lines) == 1 + rows
+        svg = (tmp_path / "result.svg").read_text()
+        assert svg.startswith("<svg")
+        for label in labels:
+            assert f">{label}</text>" in svg
+
+    def test_seeded_noise_plot_reruns_identical(self, tmp_path):
+        outputs = []
+        for name in ("a", "b"):
+            out = tmp_path / f"{name}.csv"
+            code = run_cli(
+                "noise", "--n", "10", "--a", "3", "--noise", "pauli", "--probs", "0:0.4:0.1",
+                "--runs", "30", "--seed", "5", "--out", str(out), "--emit-plot",
+            )
+            assert code == 0
+            outputs.append((out.read_bytes(), (tmp_path / f"{name}.svg").read_bytes()))
+        assert outputs[0] == outputs[1]
+
+
 class TestBaselineAndOracle:
     def test_baseline(self, tmp_path, capsys):
         out = tmp_path / "base.csv"
@@ -195,6 +246,17 @@ class TestValidation:
         )
         assert code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
+    def test_bad_oracle_tolerance_exits_2(self, tol, monkeypatch, capsys):
+        def no_tree(*args):
+            raise AssertionError("the tree ran before --tol was checked")
+
+        monkeypatch.setattr(experiments, "tree_leaf_distribution", no_tree)
+        assert run_cli("oracle-check", "--n", "15", "--a", "2", f"--tol={tol}") == 2
+        captured = capsys.readouterr()
+        assert "--tol must be finite and positive" in captured.err
+        assert "OK" not in captured.out
 
     def test_mix_writes_header_and_two_rows(self, tmp_path):
         out = tmp_path / "mix.csv"

@@ -208,11 +208,6 @@ class TestTreeProfile:
         assert np.max(np.abs([r.avg_logneg for r in reports] - e_av)) < 1e-12
         assert np.max(np.abs([r.mixedness for r in reports] - s_av)) < 1e-12
 
-    def test_noise_rejected(self):
-        inst = build_instance(15, 2)
-        with pytest.raises(ValueError):
-            tree_profile(inst, PURE, noise=NoiseConfig(PAULI, 0.1))
-
 
 def oracle_pairs():
     """Per composite N in 6..31: the base of largest order (smallest on ties) and N - 1."""
@@ -294,6 +289,20 @@ class TestMonteCarlo:
         a = monte_carlo_sweep(inst, PURE, MEASUREMENT, [0.3], runs=50, exclude_control=False, seed=9)
         b = monte_carlo_sweep(inst, PURE, MEASUREMENT, [0.3], runs=50, exclude_control=False, seed=9)
         assert a == b
+
+    def test_grid_checked_before_any_run(self, monkeypatch):
+        def no_runs(*args):
+            raise AssertionError("a run was stepped before the grid was checked")
+
+        monkeypatch.setattr(experiments, "_run_stack", no_runs)
+        inst = build_instance(15, 2)
+        with pytest.raises(ValueError, match="outside"):
+            monte_carlo_sweep(inst, PURE, PAULI, [0.1, 1.5], 200, exclude_control=False, seed=1)
+        # an all-zero grid runs no noise, but its kind is still checked
+        with pytest.raises(ValueError, match="unknown noise kind"):
+            monte_carlo_sweep(inst, PURE, "bogus", [0.0], 200, exclude_control=False, seed=1)
+        with pytest.raises(ValueError, match="at least one run"):
+            monte_carlo_sweep(inst, PURE, PAULI, [0.1], 0, exclude_control=False, seed=1)
 
     def test_trajectory_returns_valid_outcome(self):
         inst = build_instance(10, 3)

@@ -175,6 +175,19 @@ class TestNoisePass:
         with pytest.raises(ValueError):
             NoiseConfig(PAULI, 1.5)
 
+    def test_single_state_hits_only_qubits_below_prob(self, rng):
+        rho = random_density_matrix(4, rng)
+        before = rho.copy()
+        draws = iter([0.1, 0.9])
+
+        class Draws:
+            def random(self):
+                return next(draws)
+
+        out = noise_pass(rho, NoiseConfig(PAULI, 0.5), Draws())
+        assert np.array_equal(out, depolarize_qubit(rho, 0))
+        assert np.array_equal(rho, before)
+
     def test_stack_hits_only_members_below_prob(self, rng):
         # one draw per member per qubit: members whose draw falls below p
         # get the channel, the others are left as they were
