@@ -129,16 +129,11 @@ def initial_state(
 
 @lru_cache(maxsize=None)
 def _modmult_inverse_permutation(inst: ShorInstance, x: int) -> np.ndarray:
-    """Inverse of the basis permutation realised by cU_a^(2^x)."""
-    mult = inst.a
-    for _ in range(x):
-        mult = mult * mult % inst.N
+    """Inverse of the permutation of cU_a^(2^x): b < N -> a^(-2^x) b mod N when control=1."""
+    inverse = pow(inst.a, -(1 << x), inst.N)
     half = 1 << inst.n
-    perm = np.arange(2 * half)
-    for b in range(inst.N):
-        perm[half + b] = half + mult * b % inst.N
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(2 * half)
+    inv = np.arange(2 * half)
+    inv[half : half + inst.N] = half + inverse * np.arange(inst.N) % inst.N
     inv.flags.writeable = False
     return inv
 
@@ -153,11 +148,8 @@ def controlled_modmult_unitary(inst: ShorInstance, x: int) -> np.ndarray:
     if not 0 <= x < inst.L:
         raise ValueError(f"exponent index {x} outside 0..{inst.L - 1}")
     inv = _modmult_inverse_permutation(inst, x)
-    dim = inv.size
-    u = np.zeros((dim, dim), dtype=complex)
-    perm = np.empty(dim, dtype=int)
-    perm[inv] = np.arange(dim)
-    u[perm, np.arange(dim)] = 1.0
+    u = np.zeros((inv.size, inv.size), dtype=complex)
+    u[np.arange(inv.size), inv] = 1.0
     return u
 
 
@@ -230,20 +222,18 @@ def stage_gates(inst: ShorInstance, s: int, bits):
     return ops
 
 
-def run_stage_gates(state: ComputerState, s: int, inst: ShorInstance) -> ComputerState:
-    """Apply controlled multiplication, phase correction and Hadamard.
+def run_stage_gates(state: ComputerState, inst: ShorInstance) -> ComputerState:
+    """Apply the controlled multiplication, phase correction and Hadamard of state.stage.
 
     `state.rho` is one state or a (B, d, d) stack whose `bits` hold one
     vector per measured bit (see phase_correction_angle).  Does not
     measure; the stage counter advances on measurement.
     """
-    if state.stage != s:
-        raise ValueError(f"state is at stage {state.stage}, not {s}")
     rho = state.rho
-    for _, apply in stage_gates(inst, s, state.bits):
+    for _, apply in stage_gates(inst, state.stage, state.bits):
         rho = apply(rho)
     if densemat.validation_enabled():
-        densemat.assert_valid_state(rho, context=f"stage {s} gates")
+        densemat.assert_valid_state(rho, context=f"stage {state.stage} gates")
     return ComputerState(rho=rho, stage=state.stage, bits=state.bits)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -25,8 +26,6 @@ _KINDS = {kind.value: kind for kind in InitialStateKind}
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".12g")
@@ -94,11 +93,13 @@ def _build_parser() -> argparse.ArgumentParser:
     add_kind(p)
     p.add_argument("--epsilon", type=float, default=0.0, help="control mixing strength")
     add_output(p)
+    p.set_defaults(run=_cmd_profile)
 
     p = sub.add_parser("ensemble", help="stage profile averaged over all (N, a)")
     p.add_argument("--bits", type=int, choices=(4, 5), required=True)
     add_kind(p, default="mixed-n")
     add_output(p)
+    p.set_defaults(run=_cmd_ensemble)
 
     p = sub.add_parser("noise", help="Monte Carlo success counts over noise levels")
     add_instance_args(p)
@@ -109,20 +110,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exclude-control", action="store_true")
     add_output(p)
+    p.set_defaults(run=_cmd_noise)
 
     p = sub.add_parser("mix", help="exact success and entanglement vs control mixing")
     add_instance_args(p)
     add_kind(p)
     p.add_argument("--epsilons", required=True, help="list v1,v2,... or range start:stop:step")
     add_output(p)
+    p.set_defaults(run=_cmd_mix)
 
     p = sub.add_parser("baseline", help="success probability of uniform random outcomes")
     add_instance_args(p)
     p.add_argument("--out", default=None)
+    p.set_defaults(run=_cmd_baseline)
 
     p = sub.add_parser("oracle-check", help="compare the staged engine to the closed-form oracle")
     add_instance_args(p)
     p.add_argument("--tol", type=float, default=1e-9, help="finite and positive")
+    p.set_defaults(run=_cmd_oracle_check)
 
     return parser
 
@@ -218,14 +223,11 @@ def _plot_path(out: str) -> str:
     return stem + ".svg"
 
 
-_COMMANDS = {
-    "profile": _cmd_profile,
-    "ensemble": _cmd_ensemble,
-    "noise": _cmd_noise,
-    "mix": _cmd_mix,
-    "baseline": _cmd_baseline,
-    "oracle-check": _cmd_oracle_check,
-}
+def _check_writable(path: str) -> None:
+    """Reject an output path that cannot be opened for writing, before anything is computed."""
+    target = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.access(target, os.W_OK):
+        raise ValueError(f"cannot write output file {path}")
 
 
 def parse_and_run(argv) -> int:
@@ -236,7 +238,11 @@ def parse_and_run(argv) -> int:
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        if getattr(args, "out", None):
+            _check_writable(args.out)
+        if getattr(args, "emit_plot", False):
+            _check_writable(_plot_path(args.out))
+        return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

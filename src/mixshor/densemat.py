@@ -268,14 +268,8 @@ def _block_plan(pattern: bytes, dim: int, subsets: tuple[tuple[int, ...], ...]):
         k, node = np.divmod(pos[first[size == s][:, None] + np.arange(s)], dim)
         gather = index[k[:, :, None], node[:, :, None], node[:, None, :]]
         # a block gathered by several subsets is solved once
-        distinct: dict[bytes, int] = {}
-        keep, inverse = [], np.empty(len(k), dtype=np.intp)
-        for i, block in enumerate(gather):
-            key = block.tobytes()
-            if key not in distinct:
-                distinct[key] = len(keep)
-                keep.append(i)
-            inverse[i] = distinct[key]
+        keys = gather.reshape(len(k), -1).view(np.dtype((np.void, s * s * gather.itemsize)))
+        _, keep, inverse = np.unique(keys[:, 0], return_index=True, return_inverse=True)
         blocks.append(gather[keep])
         owner.append(k.ravel())
         source.append(offset + (inverse[:, None] * s + np.arange(s)).ravel())

@@ -130,7 +130,7 @@ def _tree_steps(inst: ShorInstance, kind: InitialStateKind, epsilon: float):
             chunk_probs, chunk_c = probs[part], c[part]
             bits = tuple((chunk_c >> k) & 1 for k in range(s))
             rho = circuit.plus_control(sigma[part], epsilon)
-            state = circuit.run_stage_gates(ComputerState(rho, s, bits), s, inst)
+            state = circuit.run_stage_gates(ComputerState(rho, s, bits), inst)
             yield 2 * s, chunk_probs, state.rho, chunk_c
             kids = []
             for bit, (p, branch) in enumerate(circuit.measure_control(state)):
@@ -418,12 +418,11 @@ def find_entanglement_crossing(
     inst: ShorInstance,
     kind: InitialStateKind,
     threshold: float = entanglement.CLAMP_TOL,
-    grid_step: float = 0.002,
     refine_tol: float = 1e-4,
 ) -> float:
     """Smallest mixing strength at which the average entanglement vanishes.
 
-    Locates the first grid point (step `grid_step`) whose whole-run
+    Locates the first grid point (step 0.002) whose whole-run
     average entanglement falls below `threshold`, then bisects inside the
     bracketing grid cell down to `refine_tol`.  The grid point itself is
     found by bisection over the grid index, which matches the linear scan
@@ -437,6 +436,7 @@ def find_entanglement_crossing(
 
     if avg_ent(0.0) < threshold:
         return 0.0
+    grid_step = 0.002
     n_grid = round(0.5 / grid_step)
     if avg_ent(0.5) >= threshold:
         raise RuntimeError("average entanglement does not vanish at epsilon = 1/2")

@@ -110,10 +110,6 @@ class CycleDecomposition:
                 return cyc
         raise ValueError(f"{b} is outside the permutation domain")
 
-    def order(self) -> int:
-        """Length of the cycle containing 1, i.e. the multiplicative order."""
-        return len(self.cycle_of(1))
-
     def count_with_length(self, length: int) -> int:
         """Number of elements lying in cycles of exactly the given length."""
         return sum(len(c) for c in self.cycles if len(c) == length)
@@ -146,14 +142,7 @@ def permutation_cycles(a: int, n_mod: int, n_bits: int) -> CycleDecomposition:
 
 
 def is_prime(v: int) -> bool:
-    if v < 2:
-        return False
-    d = 2
-    while d * d <= v:
-        if v % d == 0:
-            return False
-        d += 1
-    return True
+    return v >= 2 and prime_factors(v) == [v]
 
 
 def prime_factors(v: int) -> list[int]:

@@ -14,8 +14,6 @@ _COLORS = ("#1f5fa8", "#c23b22", "#2e8b57", "#8c5fa8", "#b8860b")
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
 

@@ -17,6 +17,7 @@ from mixshor.circuit import (
     sample_control,
     work_distribution,
 )
+from mixshor.numtheory import coprime_list, is_prime
 
 from conftest import bell_state, random_density_matrix
 
@@ -129,6 +130,25 @@ class TestControlledModmult:
             for j in range(i + 1, len(gates)):
                 assert np.allclose(gates[i] @ gates[j], gates[j] @ gates[i])
 
+    def test_every_instance_and_exponent_multiplies_b(self):
+        # b -> a^(2^x) b mod N on the control=1 block, identity everywhere else
+        count = 0
+        for N in range(6, 32):
+            if is_prime(N):
+                continue
+            for a in coprime_list(N):
+                inst = build_instance(N, a)
+                half = 1 << inst.n
+                for x in range(inst.L):
+                    expected = np.eye(2 * half, dtype=complex)
+                    mult = pow(a, 1 << x, N)
+                    expected[:, half : half + N] = 0.0
+                    for b in range(N):
+                        expected[half + mult * b % N, half + b] = 1.0
+                    assert np.array_equal(controlled_modmult_unitary(inst, x), expected), (N, a, x)
+                    count += 1
+        assert count == 1304
+
     def test_high_work_values_fixed(self):
         inst = build_instance(15, 2)
         u = controlled_modmult_unitary(inst, 0)
@@ -161,8 +181,8 @@ class TestStageEvolution:
         # r = 4 = 2^2, so the first L-2 = 6 stages measure 0 with certainty
         inst = build_instance(15, 2)
         state = initial_state(inst, PURE)
-        for s in range(6):
-            state = run_stage_gates(state, s, inst)
+        for _ in range(6):
+            state = run_stage_gates(state, inst)
             (p0, b0), (p1, b1) = measure_control(state)
             assert abs(p0 - 1.0) < 1e-12
             assert b1 is None
@@ -172,24 +192,19 @@ class TestStageEvolution:
     def test_first_branching_stage_is_fair(self):
         inst = build_instance(15, 2)
         state = initial_state(inst, PURE)
-        for s in range(6):
-            state = reprepare_control(measure_control(run_stage_gates(state, s, inst))[0][1])
-        state = run_stage_gates(state, 6, inst)
+        for _ in range(6):
+            state = reprepare_control(measure_control(run_stage_gates(state, inst))[0][1])
+        state = run_stage_gates(state, inst)
         (p0, _), (p1, _) = measure_control(state)
         assert abs(p0 - 0.5) < 1e-12 and abs(p1 - 0.5) < 1e-12
-
-    def test_stage_must_match(self):
-        inst = build_instance(15, 2)
-        with pytest.raises(ValueError):
-            run_stage_gates(initial_state(inst, PURE), 3, inst)
 
     def test_gates_preserve_state_validity(self):
         inst = build_instance(10, 3)
         densemat.set_validation(True)
         try:
             state = initial_state(inst, MIXED_N)
-            for s in range(4):
-                state = run_stage_gates(state, s, inst)
+            for _ in range(4):
+                state = run_stage_gates(state, inst)
                 (_, b0), (_, b1) = measure_control(state)
                 state = reprepare_control(b1 if b1 is not None else b0)
         finally:
@@ -368,7 +383,7 @@ class TestClosedFormPreparation:
 class TestReprepareControl:
     def _measured_state(self, bit):
         inst = build_instance(15, 2)
-        state = run_stage_gates(initial_state(inst, PURE), 0, inst)
+        state = run_stage_gates(initial_state(inst, PURE), inst)
         branches = measure_control(state)
         return branches[bit][1]
 
@@ -381,9 +396,9 @@ class TestReprepareControl:
         inst = build_instance(15, 2)
         # force a branching stage so outcome 1 exists
         state = initial_state(inst, PURE)
-        for s in range(6):
-            state = reprepare_control(measure_control(run_stage_gates(state, s, inst))[0][1])
-        state = run_stage_gates(state, 6, inst)
+        for _ in range(6):
+            state = reprepare_control(measure_control(run_stage_gates(state, inst))[0][1])
+        state = run_stage_gates(state, inst)
         one = measure_control(state)[1][1]
         control = densemat.partial_trace(reprepare_control(one).rho, {1, 2, 3, 4})
         assert np.allclose(control, np.full((2, 2), 0.5), atol=1e-12)

@@ -5,7 +5,17 @@ import numpy as np
 import pytest
 
 from mixshor import experiments
-from mixshor.cli import _parse_values, parse_and_run, write_csv
+from mixshor.cli import _fmt, _parse_values, parse_and_run, write_csv
+
+
+# Every command that writes --out, with arguments that pass validation.
+OUTPUT_COMMANDS = {
+    "profile": ["profile", "--n", "15", "--a", "2"],
+    "ensemble": ["ensemble", "--bits", "4"],
+    "noise": ["noise", "--n", "15", "--a", "2", "--noise", "pauli", "--probs", "0.1"],
+    "mix": ["mix", "--n", "15", "--a", "2", "--epsilons", "0,0.5"],
+    "baseline": ["baseline", "--n", "15", "--a", "2"],
+}
 
 
 def run_cli(*args):
@@ -67,6 +77,13 @@ class TestWriteCsv:
         assert lines[0] == "stage,kind,avg_logneg,mixedness"
         assert lines[1] == "1,post_gate,0.5,0.333333333333"
         assert text.endswith("\n") and "\r" not in text
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [(True, "1"), (np.True_, "1"), (np.int64(3), "3"), (np.float64(0.1), "0.1"), ("x", "x")],
+    )
+    def test_cell_format(self, value, text):
+        assert _fmt(value) == text
 
 
 class TestProfileCommand:
@@ -152,13 +169,20 @@ class TestEmission:
                 ["success rate"],
             ),
             (
+                ["noise", "--n", "15", "--a", "2", "--noise", "pauli", "--probs", "0.2",
+                 "--runs", "20", "--seed", "3"],
+                "prob,successes,runs,rate",
+                1,
+                ["success rate"],
+            ),
+            (
                 ["mix", "--n", "10", "--a", "3", "--epsilons", "0,0.25,0.5"],
                 "epsilon,success_prob,avg_entanglement",
                 3,
                 ["success_prob", "avg_entanglement"],
             ),
         ],
-        ids=["ensemble", "noise", "mix"],
+        ids=["ensemble", "noise", "noise-single-point", "mix"],
     )
     def test_csv_and_plot(self, args, header, rows, labels, tmp_path):
         out = tmp_path / "result.csv"
@@ -257,6 +281,32 @@ class TestValidation:
         captured = capsys.readouterr()
         assert "--tol must be finite and positive" in captured.err
         assert "OK" not in captured.out
+
+    @pytest.mark.parametrize(
+        "command, where",
+        [(c, w) for c in OUTPUT_COMMANDS for w in ("missing-dir", "directory", "plot-directory")
+         if (c, w) != ("baseline", "plot-directory")],  # baseline writes no plot
+    )
+    def test_unwritable_out_exits_2(self, command, where, tmp_path, monkeypatch, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the experiment ran before --out was checked")
+
+        for name in ("tree_profile", "ensemble_profile", "monte_carlo_sweep", "mix_sweep",
+                     "random_baseline"):
+            monkeypatch.setattr(experiments, name, no_run)
+        out, extra = tmp_path / "x.csv", []
+        if where == "missing-dir":
+            out = bad = tmp_path / "missing" / "x.csv"
+        elif where == "directory":
+            out = bad = tmp_path
+        else:
+            bad = tmp_path / "x.svg"
+            bad.mkdir()
+            extra = ["--emit-plot"]
+        before = sorted(tmp_path.rglob("*"))
+        assert run_cli(*OUTPUT_COMMANDS[command], "--out", str(out), *extra) == 2
+        assert f"cannot write output file {bad}" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_mix_writes_header_and_two_rows(self, tmp_path):
         out = tmp_path / "mix.csv"

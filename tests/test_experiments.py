@@ -49,7 +49,7 @@ def explicit_tree(inst, kind, epsilon=0.0):
     branches = [(initial_state(inst, kind, epsilon), [])]
     averages = []
     for s in range(inst.L):
-        branches = [(run_stage_gates(st, s, inst), probs) for st, probs in branches]
+        branches = [(run_stage_gates(st, inst), probs) for st, probs in branches]
         averages.append(
             sum(np.prod(probs) * average_log_negativity(st.rho) for st, probs in branches)
         )
@@ -153,7 +153,7 @@ class TestTreeProfile:
         # the collapsed-control shortcut on the work block must agree with
         # the full-matrix path; N=9, a=2 branches from the very first stage
         inst = build_instance(9, 2)
-        state = run_stage_gates(initial_state(inst, MIXED_N), 0, inst)
+        state = run_stage_gates(initial_state(inst, MIXED_N), inst)
         half = state.rho.shape[0] // 2
         for bit, (_, branch) in enumerate(measure_control(state)):
             assert branch is not None
@@ -304,6 +304,33 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="at least one run"):
             monte_carlo_sweep(inst, PURE, PAULI, [0.1], 0, exclude_control=False, seed=1)
 
+    @pytest.mark.parametrize("N, a", [(6, 5), (15, 2), (21, 2)])
+    def test_run_reads_exactly_its_draws(self, N, a, monkeypatch):
+        # one uniform more would end the columns early, one fewer would leave one unread
+        readers = []
+
+        class CountingColumns(experiments._Columns):
+            def __init__(self, uniforms):
+                super().__init__(uniforms)
+                self.read = 0
+                readers.append(self)
+
+            def random(self):
+                self.read += 1
+                return super().random()
+
+        monkeypatch.setattr(experiments, "_Columns", CountingColumns)
+        inst = build_instance(N, a)
+        rng = np.random.default_rng(3)
+        for kind in (PURE, MIXED_N, MIXED_FULL):
+            for channel in (PAULI, MEASUREMENT):
+                for exclude in (False, True):
+                    for prob in (0.0, 0.3):
+                        cfg = NoiseConfig(channel, prob, exclude)
+                        draws = experiments._draws_per_run(inst, cfg)
+                        experiments._run_stack(inst, kind, cfg, rng.random((2, draws)))
+                        assert readers.pop().read == draws, (kind, channel, exclude, prob)
+
     def test_trajectory_returns_valid_outcome(self):
         inst = build_instance(10, 3)
         for run in range(5):
@@ -394,7 +421,7 @@ class TestCrossing:
     def test_crossing_is_bracketed(self):
         # cheap instance: the located crossing separates positive from zero
         inst = build_instance(10, 3)
-        x = find_entanglement_crossing(inst, MIXED_FULL, grid_step=0.01, refine_tol=1e-3)
+        x = find_entanglement_crossing(inst, MIXED_FULL, refine_tol=1e-3)
         assert 0.0 < x <= 0.5
         below = experiments._average_entanglement(inst, MIXED_FULL, max(x - 0.02, 0.0))
         above = experiments._average_entanglement(inst, MIXED_FULL, min(x + 0.02, 0.5))

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -145,6 +146,17 @@ class TestEnumerations:
         assert coprime_list(15) == [2, 4, 7, 8, 11, 13, 14]
         assert coprime_list(9) == [2, 4, 5, 7, 8]
         assert coprime_list(4) == [3]
+
+    def test_primes_and_factors_match_brute_force(self):
+        for v in range(1001):
+            prime = v >= 2 and all(v % d for d in range(2, v))
+            assert numtheory.is_prime(v) == prime, v
+            if v >= 2:
+                factors = numtheory.prime_factors(v)
+                assert factors == sorted(factors) and math.prod(factors) == v, v
+                assert all(all(f % d for d in range(2, f)) for f in factors), v
+        with pytest.raises(ValueError):
+            numtheory.prime_factors(1)
 
     def test_factor_helpers(self):
         assert numtheory.factor_semiprime(15) == (3, 5)
