@@ -40,8 +40,6 @@ from .numtheory import (
     convergents,
     coprime_list,
     extract_period,
-    gcd,
-    mod_pow,
     multiplicative_order,
     permutation_cycles,
     semiprime_list,
@@ -71,14 +69,12 @@ __all__ = [
     "ensemble_profile",
     "extract_period",
     "find_entanglement_crossing",
-    "gcd",
     "initial_state",
     "is_ppt",
     "log_negativity",
     "measure_control",
     "mixedness",
     "mix_sweep",
-    "mod_pow",
     "monte_carlo_sweep",
     "multiplicative_order",
     "noise_pass",

@@ -60,7 +60,6 @@ class ShorInstance:
     L: int   # control stages, 2n
     t: int   # 2^L
     r: int   # true order of a mod N, from the brute-force oracle
-    pq: tuple[int, int] | None  # prime factors when N is a semiprime
 
     @property
     def m(self) -> int:
@@ -100,7 +99,6 @@ def build_instance(N: int, a: int) -> ShorInstance:
         L=L,
         t=1 << L,
         r=numtheory.multiplicative_order(a, N),
-        pq=numtheory.factor_semiprime(N),
     )
 
 
@@ -204,7 +202,7 @@ def _apply_control_hadamard(rho: np.ndarray) -> np.ndarray:
 
 
 def stage_gates(inst: ShorInstance, s: int, bits):
-    """Displayed gates of stage s in circuit order, as (name, apply) pairs.
+    """Displayed gates of stage s in circuit order, as functions of the state.
 
     The phase correction appears from the second stage onward, matching
     the displayed circuit; its angle at stage 0 would be zero anyway.
@@ -214,11 +212,11 @@ def stage_gates(inst: ShorInstance, s: int, bits):
     if not 0 <= s < inst.L:
         raise ValueError(f"stage {s} outside 0..{inst.L - 1}")
     inv = _modmult_inverse_permutation(inst, inst.L - 1 - s)
-    ops = [("cu", lambda rho: _apply_modmult(rho, inv))]
+    ops = [lambda rho: _apply_modmult(rho, inv)]
     if s >= 1:
         theta = phase_correction_angle(bits, s)
-        ops.append(("phase", lambda rho: _apply_control_phase(rho, theta)))
-    ops.append(("h", _apply_control_hadamard))
+        ops.append(lambda rho: _apply_control_phase(rho, theta))
+    ops.append(_apply_control_hadamard)
     return ops
 
 
@@ -230,7 +228,7 @@ def run_stage_gates(state: ComputerState, inst: ShorInstance) -> ComputerState:
     measure; the stage counter advances on measurement.
     """
     rho = state.rho
-    for _, apply in stage_gates(inst, state.stage, state.bits):
+    for apply in stage_gates(inst, state.stage, state.bits):
         rho = apply(rho)
     if densemat.validation_enabled():
         densemat.assert_valid_state(rho, context=f"stage {state.stage} gates")
@@ -346,8 +344,6 @@ def reference_distribution(inst: ShorInstance, kind: InitialStateKind) -> np.nda
     directly, with the inner sums done as FFTs of periodic indicators.
     This is the independent oracle the staged engine is checked against.
     """
-    if inst.t > 4096:
-        raise ValueError("reference distribution supported for t <= 4096 only")
     t = inst.t
     weights = work_distribution(inst, kind)
     cycles = numtheory.permutation_cycles(inst.a, inst.N, inst.n).cycles

@@ -224,9 +224,10 @@ def _plot_path(out: str) -> str:
 
 
 def _check_writable(path: str) -> None:
-    """Reject an output path that cannot be opened for writing, before anything is computed."""
+    """Reject a path that is empty, ends in a separator or is unwritable, before computing."""
     target = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path) or not os.access(target, os.W_OK):
+    names_file = os.path.basename(path) and not os.path.isdir(path)
+    if not names_file or not os.access(target, os.W_OK):
         raise ValueError(f"cannot write output file {path}")
 
 
@@ -238,7 +239,7 @@ def parse_and_run(argv) -> int:
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
     try:
-        if getattr(args, "out", None):
+        if getattr(args, "out", None) is not None:
             _check_writable(args.out)
         if getattr(args, "emit_plot", False):
             _check_writable(_plot_path(args.out))

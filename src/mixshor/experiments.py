@@ -179,16 +179,14 @@ def tree_profile(inst: ShorInstance, kind: InitialStateKind, epsilon: float = 0.
     return TreeResult(reports=reports, leaf_probs=leaf)
 
 
-def tree_leaf_distribution(
-    inst: ShorInstance, kind: InitialStateKind, epsilon: float = 0.0
-) -> np.ndarray:
+def tree_leaf_distribution(inst: ShorInstance, kind: InitialStateKind) -> np.ndarray:
     """Exact outcome distribution over c from branch enumeration only.
 
     Skips the per-stage entanglement bookkeeping of tree_profile; used for
     oracle comparisons where only the leaf probabilities matter.
     """
     leaf = np.zeros(inst.t)
-    for point, probs, _, c in _tree_steps(inst, kind, epsilon):
+    for point, probs, _, c in _tree_steps(inst, kind, 0.0):
         if point == 2 * inst.L - 1:
             leaf += np.bincount(c, probs, inst.t)
     return leaf
@@ -261,25 +259,25 @@ def _run_stack(
 ) -> np.ndarray:
     """Step a (B, d, d) stack of trajectories; returns each run's outcome c.
 
-    Row i of `uniforms` (shape (B, _draws_per_run)) is run i's stream.  A
-    noise opportunity follows every displayed gate; the measurement takes
-    |0> when the run's draw falls below p0, keeps that run's block and
-    re-prepares the control in |+>.  Every member goes through the same
-    arithmetic it would go through alone.
+    Row i of `uniforms` (shape (B, _draws_per_run)) is run i's stream.
+    Each run keeps only its work block sigma between stages, starting from
+    the diagonal work distribution; every stage prepares the control in
+    |+> on it, and a noise opportunity follows every displayed gate.  The
+    measurement takes |0> when the run's draw falls below p0.  Every
+    member goes through the same arithmetic it would go through alone.
     """
-    runs = uniforms.shape[0]
     draws = _Columns(uniforms)
-    rho = np.repeat(circuit.initial_state(inst, kind).rho[None], runs, axis=0)
+    work = np.diag(circuit.work_distribution(inst, kind)).astype(complex)
+    sigma = np.broadcast_to(work, (uniforms.shape[0],) + work.shape)
     bits: list[np.ndarray] = []
     for s in range(inst.L):
-        for _name, apply in circuit.stage_gates(inst, s, bits):
+        rho = circuit.plus_control(sigma)
+        for apply in circuit.stage_gates(inst, s, bits):
             rho = noise_pass(apply(rho), cfg, draws)
         if densemat.validation_enabled():
             densemat.assert_valid_state(rho, context=f"stage {s} gates")
         bit, sigma = circuit.sample_control(rho, draws.random())
         bits.append(bit)
-        if s < inst.L - 1:
-            rho = circuit.plus_control(sigma)
     return sum(bit << i for i, bit in enumerate(bits))
 
 
@@ -359,11 +357,9 @@ def random_baseline(inst: ShorInstance) -> float:
     return float(extraction_success_mask(inst).mean())
 
 
-def success_probability_exact(
-    inst: ShorInstance, kind: InitialStateKind, epsilon: float = 0.0
-) -> float:
+def success_probability_exact(inst: ShorInstance, kind: InitialStateKind) -> float:
     """Exact success probability from the noise-free tree leaf distribution."""
-    leaf = tree_leaf_distribution(inst, kind, epsilon)
+    leaf = tree_leaf_distribution(inst, kind)
     return float(leaf[extraction_success_mask(inst)].sum())
 
 

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "gcd",
-    "mod_pow",
     "multiplicative_order",
     "convergents",
     "extract_period",
@@ -26,20 +24,6 @@ __all__ = [
     "coprime_list",
     "shor_factors",
 ]
-
-
-def gcd(x: int, y: int) -> int:
-    """Greatest common divisor, gcd(x, 0) = x."""
-    if x < 1 or y < 0:
-        raise ValueError("gcd requires x >= 1 and y >= 0")
-    return math.gcd(x, y)
-
-
-def mod_pow(a: int, e: int, n: int) -> int:
-    """a**e mod n by square-and-multiply."""
-    if n < 2 or e < 0:
-        raise ValueError("mod_pow requires n >= 2 and e >= 0")
-    return pow(a, e, n)
 
 
 def multiplicative_order(a: int, n: int) -> int:
@@ -93,7 +77,7 @@ def extract_period(c: int, t: int, n: int, a: int) -> int | None:
     for frac in convergents(c, t):
         if frac.denominator < n:
             best = frac.denominator
-    if best is not None and mod_pow(a, best, n) == 1:
+    if best is not None and pow(a, best, n) == 1:
         return best
     return None
 
@@ -103,12 +87,6 @@ class CycleDecomposition:
     """Orbits of b -> a*b mod N on {0, ..., 2^n - 1} (identity for b >= N)."""
 
     cycles: tuple[tuple[int, ...], ...]
-
-    def cycle_of(self, b: int) -> tuple[int, ...]:
-        for cyc in self.cycles:
-            if b in cyc:
-                return cyc
-        raise ValueError(f"{b} is outside the permutation domain")
 
     def count_with_length(self, length: int) -> int:
         """Number of elements lying in cycles of exactly the given length."""
@@ -194,7 +172,7 @@ def shor_factors(n: int, a: int) -> tuple[int, int] | None:
     r = multiplicative_order(a, n)
     if r % 2:
         return None
-    half = mod_pow(a, r // 2, n)
+    half = pow(a, r // 2, n)
     f1 = math.gcd(half - 1, n)
     f2 = math.gcd(half + 1, n)
     for f in (f1, f2):

@@ -51,7 +51,6 @@ class TestBuildInstance:
         inst = build_instance(15, 2)
         assert (inst.n, inst.L, inst.t, inst.r) == (4, 8, 256, 4)
         assert inst.m == 5
-        assert inst.pq == (3, 5)
 
     def test_twenty_one(self):
         inst = build_instance(21, 2)

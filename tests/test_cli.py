@@ -284,7 +284,8 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "command, where",
-        [(c, w) for c in OUTPUT_COMMANDS for w in ("missing-dir", "directory", "plot-directory")
+        [(c, w) for c in OUTPUT_COMMANDS
+         for w in ("missing-dir", "directory", "plot-directory", "empty", "trailing-separator")
          if (c, w) != ("baseline", "plot-directory")],  # baseline writes no plot
     )
     def test_unwritable_out_exits_2(self, command, where, tmp_path, monkeypatch, capsys):
@@ -299,6 +300,10 @@ class TestValidation:
             out = bad = tmp_path / "missing" / "x.csv"
         elif where == "directory":
             out = bad = tmp_path
+        elif where == "empty":
+            out = bad = ""
+        elif where == "trailing-separator":
+            out = bad = str(tmp_path / "new") + os.sep
         else:
             bad = tmp_path / "x.svg"
             bad.mkdir()

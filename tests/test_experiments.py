@@ -83,7 +83,7 @@ def reference_trajectory(inst, kind, cfg, rng):
     state = initial_state(inst, kind)
     for s in range(inst.L):
         rho = state.rho
-        for _name, apply in stage_gates(inst, s, state.bits):
+        for apply in stage_gates(inst, s, state.bits):
             rho = noise_pass(apply(rho), cfg, rng)
         (p0, b0), (p1, b1) = measure_control(ComputerState(rho, state.stage, state.bits))
         draw = rng.random()
@@ -133,6 +133,22 @@ class TestTreeProfile:
                 assert len(reports) == 2 * inst.L
                 s = np.array([r.mixedness for r in reports])
                 assert np.max(np.diff(s)) <= 1e-12, (n, a, kind)
+
+    def test_gates_add_exactly_the_control_mixing_entropy(self):
+        # the gates are unitary, so the entropy after stage s's gates is the
+        # entropy of the measured states before it (at stage 0, that of the work
+        # distribution) plus h2(eps), the entropy of the re-prepared control
+        for n, a in ((6, 5), (9, 2), (15, 2)):
+            inst = build_instance(n, a)
+            for kind in (PURE, MIXED_N, MIXED_FULL):
+                w = circuit.work_distribution(inst, kind)
+                initial = -np.sum(w[w > 0] * np.log2(w[w > 0]))
+                for eps in (0.0, 0.1, 0.25, 0.5):
+                    h2 = -sum(p * np.log2(p) for p in (eps, 1.0 - eps) if p > 0)
+                    s = [r.mixedness for r in tree_profile(inst, kind, epsilon=eps).reports]
+                    expected = np.array([initial] + s[1:-1:2]) + h2
+                    deviation = np.max(np.abs(np.array(s[0::2]) - expected))
+                    assert deviation <= 1e-12, (n, a, kind, eps, deviation)
 
     def test_leaf_probabilities_sum_to_one(self):
         inst = build_instance(14, 3)
@@ -250,7 +266,8 @@ class TestSuccessProbabilities:
         inst = build_instance(15, 2)
         base = random_baseline(inst)
         for kind in (PURE, MIXED_N):
-            assert abs(success_probability_exact(inst, kind, epsilon=0.5) - base) < 1e-9
+            (row,) = mix_sweep(inst, kind, [0.5])
+            assert abs(row.success_prob - base) < 1e-9
 
     def test_baseline_by_direct_enumeration(self):
         from mixshor.numtheory import extract_period, multiplicative_order

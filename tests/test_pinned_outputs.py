@@ -1,0 +1,60 @@
+"""Seeded results and stage reports pinned to recorded values.
+
+The Monte Carlo reference trajectory in test_experiments shares its gates
+and noise channels with the engine, so a kernel change that moves a
+seeded outcome would still agree with it; these values would not.  Counts
+are compared exactly, floats to the 12 significant digits of the CSV
+format.  The entropy of the pure run at eps = 0 is exactly zero and is
+pinned as 0 within 1e-12, since its computed value is round-off.
+"""
+
+import pytest
+
+from mixshor.circuit import InitialStateKind, build_instance
+from mixshor.experiments import (
+    extraction_success_mask,
+    find_entanglement_crossing,
+    monte_carlo_sweep,
+    tree_profile,
+)
+
+PURE = InitialStateKind.PURE
+MIXED_N = InitialStateKind.MIXED_N
+MIXED_FULL = InitialStateKind.MIXED_FULL
+
+
+def close(value):
+    return pytest.approx(value, rel=1e-12, abs=0.0 if value else 1e-12)
+
+
+@pytest.mark.parametrize("channel, counts", [("pauli", [52, 23]), ("measurement", [87, 46])])
+def test_noise15_success_counts_for_seed_1(channel, counts):
+    inst = build_instance(15, 2)
+    rows = monte_carlo_sweep(inst, PURE, channel, [0.1, 0.3], 250, exclude_control=False, seed=1)
+    assert [r.successes for r in rows] == counts
+
+
+# (kind, epsilon): whole-run average entanglement, last mixedness, exact success probability
+TREE_15_2 = {
+    (PURE, 0.0): (0.21726865155855707, 0.0, 0.5),
+    (PURE, 0.25): (0.11970382121053122, 1.6225562489182659, 0.1880414936790024),
+    (MIXED_N, 0.0): (0.1145430902531873, 1.9412943652509174, 0.4),
+    (MIXED_N, 0.25): (0.018542149008957606, 3.6622263153376258, 0.1692762339200542),
+    (MIXED_FULL, 0.0): (0.10007248970722907, 2.0637218755408697, 0.375),
+    (MIXED_FULL, 0.25): (0.008624472010866538, 3.7597229054108547, 0.16456682042517784),
+}
+
+
+@pytest.mark.parametrize("kind, eps", list(TREE_15_2))
+def test_tree_profile_15_2(kind, eps):
+    inst = build_instance(15, 2)
+    result = tree_profile(inst, kind, eps)
+    entanglement, mixedness, success = TREE_15_2[(kind, eps)]
+    assert result.whole_run_average_entanglement() == close(entanglement)
+    assert result.reports[-1].mixedness == close(mixedness)
+    assert float(result.leaf_probs[extraction_success_mask(inst)].sum()) == close(success)
+
+
+def test_entanglement_crossing_10_3_mixed_full():
+    crossing = find_entanglement_crossing(build_instance(10, 3), MIXED_FULL)
+    assert crossing == close(0.33287500000000003)
