@@ -153,20 +153,38 @@ def _tree_steps(inst: ShorInstance, kind: InitialStateKind, epsilon: float):
             sigma, probs, c = (np.concatenate(x) for x in zip(*grown))
 
 
+def _shannon_entropy(p: np.ndarray) -> float:
+    """-sum(p log2 p) in bits over the nonzero entries of a distribution."""
+    p = p[p > 0.0]
+    return float(-np.sum(p * np.log2(p)))
+
+
 def tree_profile(inst: ShorInstance, kind: InitialStateKind, epsilon: float = 0.0) -> TreeResult:
     """Exact branch enumeration with per-stage entanglement and mixedness.
 
     Returns the 2L stage reports (after each controlled multiplication
     and after each measurement) plus the exact leaf distribution over c.
+    Only the post-measure mixedness takes eigensolves: the gates are
+    unitary and the re-prepared control is independent of the work
+    register, so the mixedness after stage s's gates is the report
+    before it (at stage 0, the Shannon entropy of the work distribution)
+    plus h2(epsilon) times the path mass of the stage.
     Noisy runs go through monte_carlo_sweep.
     """
     points = 2 * inst.L
     e_av, s_av, leaf = np.zeros(points), np.zeros(points), np.zeros(inst.t)
+    h2 = _shannon_entropy(np.array([epsilon, 1.0 - epsilon]))
     for point, probs, states, c in _tree_steps(inst, kind, epsilon):
-        e_av[point] += probs @ _point_entanglement(states, point % 2 == 1)
-        s_av[point] += probs @ entanglement.mixedness(states)
+        post_measure = point % 2 == 1
+        e_av[point] += probs @ _point_entanglement(states, post_measure)
+        if post_measure:
+            s_av[point] += probs @ entanglement.mixedness(states)
+        else:
+            s_av[point] += h2 * probs.sum()
         if point == points - 1:
             leaf += np.bincount(c, probs, inst.t)
+    s_av[0] += _shannon_entropy(circuit.work_distribution(inst, kind))
+    s_av[2::2] += s_av[1:-1:2]
     reports = tuple(
         StageReport(
             stage=i // 2,
@@ -201,17 +219,49 @@ def ensemble_instances(bits: int) -> list[ShorInstance]:
     ]
 
 
+def _commutes_with_multiplication(inst: ShorInstance, kind: InitialStateKind) -> bool:
+    """True when the initial work state is invariant under b -> a b mod N."""
+    w = circuit.work_distribution(inst, kind)
+    half = 1 << inst.n
+    permutation = circuit._modmult_inverse_permutation(inst, 0)[half:] - half
+    return bool(np.array_equal(w[permutation], w))
+
+
 def ensemble_profile(bits: int, kind: InitialStateKind) -> list[StageReport]:
-    """Unweighted mean of tree_profile over every (N, a) of the ensemble."""
+    """Mean of tree_profile over every (N, a) of the ensemble, each with weight 1.
+
+    When the initial work state commutes with U_a (b -> a b mod N), as for
+    mixed-n and mixed-full, the tree of a^-1 mod N repeats the tree of a:
+    only the smaller of each pair {a, a^-1} is run, with weight 2 (weight
+    1 when a^2 = 1 mod N).  This is exact.  Every work block of the a
+    tree then commutes with U_a, and the partial transpose over the whole
+    work register W turns the controlled multiplication by a^k into the
+    one by a^-k while it commutes with the control gates, the control
+    measurement and the re-preparation.  So for every record c the a^-1
+    tree has the same path probabilities, its post-gate states are the
+    partial transposes over W of the a tree's, and its work blocks are
+    the complex conjugates sigma-bar of the a tree's.  Its entropies are
+    therefore equal, and its negativity across a canonical cut T equals
+    the a tree's across W minus T: a bijection on the canonical cuts,
+    with the cut T = W giving 0 on both sides.  The pure register |1> is
+    not invariant, its a and a^-1 trees differ, and every a runs on its
+    own with weight 1, summed in the same order.
+    """
     if bits not in (4, 5):
         raise ValueError("ensemble profiles are defined for 4- and 5-digit numbers")
-    instances = ensemble_instances(bits)
-    results = [tree_profile(inst, kind) for inst in instances]
-    count = len(results)
+    weighted = []
+    for inst in ensemble_instances(bits):
+        inverse = pow(inst.a, -1, inst.N)
+        if not _commutes_with_multiplication(inst, kind):
+            weighted.append((1, inst))
+        elif inst.a <= inverse:
+            weighted.append((1 if inst.a == inverse else 2, inst))
+    results = [(weight, tree_profile(inst, kind)) for weight, inst in weighted]
+    count = sum(weight for weight, _ in results)
     out = []
-    for i, template in enumerate(results[0].reports):
-        e = sum(res.reports[i].avg_logneg for res in results) / count
-        s = sum(res.reports[i].mixedness for res in results) / count
+    for i, template in enumerate(results[0][1].reports):
+        e = sum(weight * res.reports[i].avg_logneg for weight, res in results) / count
+        s = sum(weight * res.reports[i].mixedness for weight, res in results) / count
         out.append(
             StageReport(stage=template.stage, kind=template.kind, avg_logneg=e, mixedness=s)
         )

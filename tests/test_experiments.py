@@ -135,19 +135,21 @@ class TestTreeProfile:
                 assert np.max(np.diff(s)) <= 1e-12, (n, a, kind)
 
     def test_gates_add_exactly_the_control_mixing_entropy(self):
-        # the gates are unitary, so the entropy after stage s's gates is the
-        # entropy of the measured states before it (at stage 0, that of the work
-        # distribution) plus h2(eps), the entropy of the re-prepared control
+        # tree_profile reports the entropy after stage s's gates as the report
+        # before it (at stage 0, the entropy of the work distribution) plus
+        # h2(eps), since the gates are unitary and the re-prepared control is
+        # independent of the work register; compare that with the entropy of
+        # the post-gate states themselves
         for n, a in ((6, 5), (9, 2), (15, 2)):
             inst = build_instance(n, a)
             for kind in (PURE, MIXED_N, MIXED_FULL):
-                w = circuit.work_distribution(inst, kind)
-                initial = -np.sum(w[w > 0] * np.log2(w[w > 0]))
                 for eps in (0.0, 0.1, 0.25, 0.5):
-                    h2 = -sum(p * np.log2(p) for p in (eps, 1.0 - eps) if p > 0)
+                    post_gate = np.zeros(inst.L)
+                    for point, probs, states, _ in experiments._tree_steps(inst, kind, eps):
+                        if point % 2 == 0:
+                            post_gate[point // 2] += probs @ mixedness(states)
                     s = [r.mixedness for r in tree_profile(inst, kind, epsilon=eps).reports]
-                    expected = np.array([initial] + s[1:-1:2]) + h2
-                    deviation = np.max(np.abs(np.array(s[0::2]) - expected))
+                    deviation = np.max(np.abs(np.array(s[0::2]) - post_gate))
                     assert deviation <= 1e-12, (n, a, kind, eps, deviation)
 
     def test_leaf_probabilities_sum_to_one(self):
@@ -446,6 +448,47 @@ class TestCrossing:
         assert above < 1e-10 or x >= 0.5 - 1e-3
 
 
+def inverse_pairs(n):
+    """The bases a < a^-1 mod n of the pairs {a, a^-1} with a^2 != 1 mod n."""
+    return [a for a in coprime_list(n) if a < pow(a, -1, n)]
+
+
+def report_deviation(x, y):
+    return max(
+        max(abs(p.avg_logneg - q.avg_logneg), abs(p.mixedness - q.mixedness))
+        for p, q in zip(x.reports, y.reports)
+    )
+
+
+class TestInverseSymmetry:
+    @pytest.mark.parametrize("kind", [MIXED_N, MIXED_FULL])
+    @pytest.mark.parametrize("n", [9, 14, 15])
+    def test_mixed_trees_of_a_and_its_inverse_agree(self, n, kind):
+        # a mixed work register commutes with U_a, and the a^-1 tree is then
+        # the partial transpose over the work register of the a tree
+        assert len(inverse_pairs(n)) == 2
+        for a in inverse_pairs(n):
+            for eps in (0.0, 0.25):
+                x = tree_profile(build_instance(n, a), kind, eps)
+                y = tree_profile(build_instance(n, pow(a, -1, n)), kind, eps)
+                assert report_deviation(x, y) < 1e-12, (a, eps)
+                assert np.array_equal(x.leaf_probs, y.leaf_probs), (a, eps)
+
+    def test_pure_trees_of_a_and_its_inverse_differ(self):
+        x = tree_profile(build_instance(14, 3), PURE)
+        y = tree_profile(build_instance(14, 5), PURE)
+        assert report_deviation(x, y) > 0.1
+
+
+@pytest.fixture(scope="module")
+def all_ensemble_trees():
+    """Every tree_profile of the 4-bit ensemble per kind, keyed by (N, a)."""
+    return {
+        kind: {(inst.N, inst.a): tree_profile(inst, kind) for inst in ensemble_instances(4)}
+        for kind in (PURE, MIXED_N, MIXED_FULL)
+    }
+
+
 class TestEnsemble:
     def test_instance_enumeration(self):
         instances = ensemble_instances(4)
@@ -457,3 +500,33 @@ class TestEnsemble:
         assert len(reports) == 16
         assert all(r.avg_logneg >= 0 for r in reports)
         assert max(r.avg_logneg for r in reports) > 0.1
+
+    @pytest.mark.parametrize("kind", [PURE, MIXED_N, MIXED_FULL])
+    def test_paired_profile_matches_plain_mean_of_every_tree(self, kind, all_ensemble_trees):
+        # the slow path the pairing replaces: every (N, a), weight 1, in order
+        results = list(all_ensemble_trees[kind].values())
+        reports = experiments.ensemble_profile(4, kind)
+        for i, r in enumerate(reports):
+            e = sum(res.reports[i].avg_logneg for res in results) / len(results)
+            s = sum(res.reports[i].mixedness for res in results) / len(results)
+            if kind is PURE:
+                assert (r.avg_logneg, r.mixedness) == (e, s), i
+            else:
+                assert abs(r.avg_logneg - e) < 1e-12 and abs(r.mixedness - s) < 1e-12, i
+
+    @pytest.mark.parametrize("kind, calls", [(PURE, 20), (MIXED_N, 13), (MIXED_FULL, 13)])
+    def test_mixed_kinds_run_one_tree_per_inverse_pair(
+        self, kind, calls, all_ensemble_trees, monkeypatch
+    ):
+        # 7 of the 20 bases are the larger member of a pair {a, a^-1}
+        run = []
+
+        def recorded(inst, k, epsilon=0.0):
+            run.append((inst.N, inst.a))
+            return all_ensemble_trees[k][(inst.N, inst.a)]
+
+        monkeypatch.setattr(experiments, "tree_profile", recorded)
+        experiments.ensemble_profile(4, kind)
+        assert len(run) == calls
+        if kind is not PURE:
+            assert all(a <= pow(a, -1, n) for n, a in run)

@@ -8,10 +8,12 @@ format.  The entropy of the pure run at eps = 0 is exactly zero and is
 pinned as 0 within 1e-12, since its computed value is round-off.
 """
 
+import numpy as np
 import pytest
 
 from mixshor.circuit import InitialStateKind, build_instance
 from mixshor.experiments import (
+    ensemble_profile,
     extraction_success_mask,
     find_entanglement_crossing,
     monte_carlo_sweep,
@@ -58,3 +60,19 @@ def test_tree_profile_15_2(kind, eps):
 def test_entanglement_crossing_10_3_mixed_full():
     crossing = find_entanglement_crossing(build_instance(10, 3), MIXED_FULL)
     assert crossing == close(0.33287500000000003)
+
+
+# kind: whole-run mean avg_logneg and last mixedness of the 4-bit ensemble,
+# recorded before the mixed kinds ran one tree per pair {a, a^-1 mod N}
+ENSEMBLE_4 = {
+    MIXED_N: (0.19204131967089744, 1.9480321903192266),
+    MIXED_FULL: (0.1271872306906013, 2.5190015325931445),
+}
+
+
+@pytest.mark.parametrize("kind", list(ENSEMBLE_4))
+def test_ensemble_profile_4(kind):
+    reports = ensemble_profile(4, kind)
+    entanglement, mixedness = ENSEMBLE_4[kind]
+    assert np.mean([r.avg_logneg for r in reports]) == close(entanglement)
+    assert reports[-1].mixedness == close(mixedness)
