@@ -235,15 +235,15 @@ def run_stage_gates(state: ComputerState, inst: ShorInstance) -> ComputerState:
     return ComputerState(rho=rho, stage=state.stage, bits=state.bits)
 
 
-def _outcomes(rho: np.ndarray):
+def _outcomes(block0: np.ndarray, block1: np.ndarray):
     """p0 and p1 of the control with the dead-branch rule, for one state or a stack.
 
-    An outcome with probability below DEAD_BRANCH_TOL is dead; a state
-    whose outcomes are both dead raises.  Returns p0, p1, dead0, dead1.
+    `block0` and `block1` are the (0, 0) and (1, 1) work blocks of the
+    control, whose traces are p0 and p1.  An outcome with probability
+    below DEAD_BRANCH_TOL is dead; a state whose outcomes are both dead
+    raises.  Returns p0, p1, dead0, dead1.
     """
-    half = rho.shape[-1] // 2
-    diag = np.real(np.diagonal(rho, axis1=-2, axis2=-1))
-    p0, p1 = diag[..., :half].sum(axis=-1), diag[..., half:].sum(axis=-1)
+    p0, p1 = (np.real(np.diagonal(b, axis1=-2, axis2=-1)).sum(axis=-1) for b in (block0, block1))
     dead0, dead1 = p0 < DEAD_BRANCH_TOL, p1 < DEAD_BRANCH_TOL
     if np.any(dead0 & dead1):
         raise ValueError("both measurement outcomes have zero probability")
@@ -274,7 +274,7 @@ def measure_control(state: ComputerState):
     """
     rho = state.rho
     half = rho.shape[-1] // 2
-    p0, p1, dead0, dead1 = _outcomes(rho)
+    p0, p1, dead0, dead1 = _outcomes(rho[..., :half, :half], rho[..., half:, half:])
 
     def collapse(bit: int, p, dead) -> ComputerState | None:
         live = ~np.ravel(dead)
@@ -294,18 +294,22 @@ def measure_control(state: ComputerState):
     return (p0, collapse(0, p0, dead0)), (p1, collapse(1, p1, dead1))
 
 
-def sample_control(rho: np.ndarray, draws: np.ndarray):
-    """Measure the control of every state of a (B, d, d) stack by sampling.
+def sample_control(block0: np.ndarray, block1: np.ndarray, draws: np.ndarray):
+    """Measure the control of every state of a stack by sampling, from its diagonal blocks.
 
-    Run i takes outcome 0 when draws[i] < p0, by the rules of
-    measure_control: a dead outcome (probability below DEAD_BRANCH_TOL) is
-    never chosen, and a state whose outcomes are both dead raises.
-    Returns the outcome bits and the kept work blocks, each divided by its
-    own probability: the (B, d/2, d/2) stack of sigma in |bit><bit| (x) sigma.
+    `block0` and `block1` are the (B, d/2, d/2) stacks of the (0, 0) and
+    (1, 1) work blocks of the control: nothing else of a state enters
+    its measurement.  Run i takes outcome 0 when draws[i] < p0, by the
+    rules of measure_control: a dead outcome (probability below
+    DEAD_BRANCH_TOL) is never chosen, and a state whose outcomes are both
+    dead raises.  Returns the outcome bits and the kept blocks, each
+    divided by its own probability: the stack of sigma in
+    |bit><bit| (x) sigma.
     """
-    p0, p1, dead0, dead1 = _outcomes(rho)
+    p0, p1, dead0, dead1 = _outcomes(block0, block1)
     bits = np.where(dead1 | (~dead0 & (draws < p0)), 0, 1)
-    return bits, _control_block(rho, bits) / np.where(bits, p1, p0)[:, None, None]
+    kept = np.where(bits[:, None, None] == 0, block0, block1)
+    return bits, kept / np.where(bits, p1, p0)[:, None, None]
 
 
 def reprepare_control(state: ComputerState, epsilon: float = 0.0) -> ComputerState:

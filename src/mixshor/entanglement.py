@@ -78,6 +78,9 @@ def is_ppt(rho: np.ndarray, partition, tol: float = 1e-10) -> bool:
 def mixedness(rho: np.ndarray):
     """Von Neumann entropy of the whole computer state, in bits.
 
-    `rho` is one state or a stack of states along leading axes.
+    `rho` is one state or a stack of states along leading axes.  As in
+    log_negativity, values below CLAMP_TOL are round-off and reported as
+    exactly zero: a pure state has entropy 0, not 1e-15.
     """
-    return densemat.von_neumann_entropy(rho)
+    s = densemat.von_neumann_entropy(rho)
+    return np.where(s < CLAMP_TOL, 0.0, s) if rho.ndim > 2 else (0.0 if s < CLAMP_TOL else s)

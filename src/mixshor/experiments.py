@@ -3,8 +3,9 @@
 The tree runner enumerates every measurement branch with its path
 probability, giving exact stage averages and the exact outcome
 distribution; Monte Carlo trajectories sample measurement results and
-noise events instead.  Both step their states together as stacked
-(B, d, d) arrays in chunks of a fixed byte budget.  Monte Carlo run i
+noise events instead.  Both step their states together in chunks of a
+fixed byte budget: the tree as stacked (B, d, d) states, Monte Carlo as
+the four (B, d/2, d/2) blocks of the control.  Monte Carlo run i
 draws only from its own (seed, i) stream, so its outcome does not depend
 on which runs share its chunk.
 """
@@ -15,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import circuit, densemat, entanglement, numtheory
+from . import circuit, densemat, entanglement, noise, numtheory
 from .circuit import ComputerState, InitialStateKind, ShorInstance
-from .noise import NoiseConfig, noise_pass
+from .noise import NoiseConfig
+from .noise import noise_pass  # noqa: F401  the benchmark tracer patches it here by name
 
 __all__ = [
     "StageReport",
@@ -283,8 +285,8 @@ class _Columns:
     """The up-front uniforms of a chunk, handed out one column at a time.
 
     Row i holds run i's draws in circuit order; each random() call returns
-    the next draw of every run, which is what noise_pass and the
-    measurement consume.
+    the next draw of every run: one per noisy qubit, in ascending order,
+    after every gate, then one for the measurement.
     """
 
     def __init__(self, uniforms: np.ndarray):
@@ -296,9 +298,87 @@ class _Columns:
 
 def _draws_per_run(inst: ShorInstance, cfg: NoiseConfig | None) -> int:
     """Uniforms one trajectory consumes: one per noisy qubit per gate, one per measurement."""
-    noisy = 0 if cfg is None or cfg.prob == 0.0 else inst.m - int(cfg.exclude_control)
     gates = 3 * inst.L - 1  # cu and h at every stage, the phase from stage 1 on
-    return gates * noisy + inst.L
+    return gates * _noisy_qubits(inst, cfg) + inst.L
+
+
+def _noisy_qubits(inst: ShorInstance, cfg: NoiseConfig | None) -> int:
+    """Qubits that draw after every gate: all m, or the n work qubits without the control."""
+    return 0 if cfg is None or cfg.prob == 0.0 else inst.m - int(cfg.exclude_control)
+
+
+def _run_steps(
+    inst: ShorInstance,
+    kind: InitialStateKind,
+    cfg: NoiseConfig | None,
+    uniforms: np.ndarray,
+):
+    """Step a stack of trajectories on their control blocks; yields (bits, sigma) per stage.
+
+    Row i of `uniforms` (shape (B, _draws_per_run)) is run i's stream,
+    read through _Columns.  Each run keeps only its work block sigma
+    between stages, starting from the diagonal work distribution.  A
+    stage works on the four (d/2, d/2) blocks of the control: |+> puts
+    sigma/2 in each, the controlled multiplication permutes the work
+    indices of the control-1 side, the phase turns the off-diagonal
+    blocks, and of the Hadamard only the two diagonal blocks are formed,
+    since the measurement reads nothing else.  Control noise acts on the
+    blocks after the gate that drew it; after the Hadamard, dephasing
+    changes neither p0, p1 nor sigma, so only its draw is read.  A
+    channel on a work qubit commutes with every step on the control,
+    the measurement included, and is idempotent: a work qubit hit after
+    any gate of the stage gets its channel once, on the kept sigma.  The
+    measurement takes |0> when the run's draw falls below p0, never a
+    dead branch.
+    """
+    draws = _Columns(uniforms)
+    runs, half = uniforms.shape[0], 1 << inst.n
+    noisy = _noisy_qubits(inst, cfg)
+    control = noisy == inst.m
+    measurement = noisy and cfg.kind == noise.MEASUREMENT
+    channel = noise.dephase_qubit if measurement else noise.depolarize_qubit
+
+    def gate_hits(diagonal, off_diagonal) -> np.ndarray:
+        """The (noisy, B) hits of one gate's draws, the control's applied to its blocks.
+
+        In closed form: dephasing zeroes the off-diagonal blocks;
+        depolarizing, I/2 (x) Tr_0, also puts the mean of the diagonal
+        blocks in both.
+        """
+        hits = np.array([draws.random() < cfg.prob for _ in range(noisy)], bool)
+        hits = hits.reshape(noisy, runs)
+        if control:
+            hit = hits[0]
+            for block in off_diagonal:
+                block[hit] = 0.0
+            if cfg.kind == noise.PAULI:
+                upper, lower = diagonal
+                upper[hit] = lower[hit] = (upper[hit] + lower[hit]) * 0.5
+        return hits
+
+    work = np.diag(circuit.work_distribution(inst, kind)).astype(complex)
+    sigma = np.broadcast_to(work, (runs,) + work.shape)
+    bits: list[np.ndarray] = []
+    for s in range(inst.L):
+        perm = circuit._modmult_inverse_permutation(inst, inst.L - 1 - s)[half:] - half
+        a = sigma * 0.5
+        b, c, d = a[:, :, perm], a[:, perm], a[:, perm[:, None], perm]
+        hits = gate_hits((a, d), (b, c))
+        if s:
+            phase = np.exp(-2j * np.pi * circuit.phase_correction_angle(bits, s))[:, None, None]
+            c *= phase
+            b *= np.conj(phase)
+            hits |= gate_hits((a, d), (b, c))
+        top, bottom = (a + b + c + d) * 0.5, (a - b - c + d) * 0.5
+        hits |= gate_hits((top, bottom), ())
+        bit, sigma = circuit.sample_control(top, bottom, draws.random())
+        for q, hit in enumerate(hits[-inst.n :]):
+            if hit.any():
+                sigma[hit] = channel(sigma[hit], q)
+        if densemat.validation_enabled():
+            densemat.assert_valid_state(sigma, context=f"stage {s}")
+        bits.append(bit)
+        yield bit, sigma
 
 
 def _run_stack(
@@ -307,28 +387,9 @@ def _run_stack(
     cfg: NoiseConfig | None,
     uniforms: np.ndarray,
 ) -> np.ndarray:
-    """Step a (B, d, d) stack of trajectories; returns each run's outcome c.
-
-    Row i of `uniforms` (shape (B, _draws_per_run)) is run i's stream.
-    Each run keeps only its work block sigma between stages, starting from
-    the diagonal work distribution; every stage prepares the control in
-    |+> on it, and a noise opportunity follows every displayed gate.  The
-    measurement takes |0> when the run's draw falls below p0.  Every
-    member goes through the same arithmetic it would go through alone.
-    """
-    draws = _Columns(uniforms)
-    work = np.diag(circuit.work_distribution(inst, kind)).astype(complex)
-    sigma = np.broadcast_to(work, (uniforms.shape[0],) + work.shape)
-    bits: list[np.ndarray] = []
-    for s in range(inst.L):
-        rho = circuit.plus_control(sigma)
-        for apply in circuit.stage_gates(inst, s, bits):
-            rho = noise_pass(apply(rho), cfg, draws)
-        if densemat.validation_enabled():
-            densemat.assert_valid_state(rho, context=f"stage {s} gates")
-        bit, sigma = circuit.sample_control(rho, draws.random())
-        bits.append(bit)
-    return sum(bit << i for i, bit in enumerate(bits))
+    """Each run's outcome c, bit s with weight 2^s, from _run_steps."""
+    steps = _run_steps(inst, kind, cfg, uniforms)
+    return sum(bit << s for s, (bit, _) in enumerate(steps))
 
 
 def run_trajectory(
@@ -350,19 +411,27 @@ def run_trajectory(
 def _sweep_outcomes(
     inst: ShorInstance,
     kind: InitialStateKind,
-    cfg: NoiseConfig | None,
+    configs,
     runs: int,
     seed: int,
 ) -> np.ndarray:
-    """Outcomes of runs 0..runs-1, stepped in chunks of CHUNK_BYTES per stacked state."""
+    """Outcomes of runs 0..runs-1 at every configuration, shape (len(configs), runs).
+
+    Runs are stepped in chunks of CHUNK_BYTES per stacked state.  Each
+    chunk's streams are drawn once, as long as the hungriest
+    configuration needs; one that needs fewer draws, such as a noiseless
+    one, reads the leading columns, which are the draws its own shorter
+    stream would give.
+    """
     chunk = _chunk_size(inst)
-    total = _draws_per_run(inst, cfg)
-    outcomes = []
+    totals = [_draws_per_run(inst, cfg) for cfg in configs]
+    outcomes = np.zeros((len(configs), runs), dtype=np.int64)
     for first in range(0, runs, chunk):
-        chunk_runs = range(first, min(first + chunk, runs))
-        uniforms = np.stack([_run_rng(seed, run).random(total) for run in chunk_runs])
-        outcomes.append(_run_stack(inst, kind, cfg, uniforms))
-    return np.concatenate(outcomes)
+        part = range(first, min(first + chunk, runs))
+        uniforms = np.stack([_run_rng(seed, run).random(max(totals, default=0)) for run in part])
+        for row, cfg, total in zip(outcomes, configs, totals):
+            row[first : part.stop] = _run_stack(inst, kind, cfg, uniforms[:, :total])
+    return outcomes
 
 
 def monte_carlo_sweep(
@@ -387,8 +456,7 @@ def monte_carlo_sweep(
         raise ValueError("need at least one run")
     mask = extraction_success_mask(inst)
     rows = []
-    for cfg in configs:
-        outcomes = _sweep_outcomes(inst, kind, cfg, runs, seed)
+    for cfg, outcomes in zip(configs, _sweep_outcomes(inst, kind, configs, runs, seed)):
         successes = int(np.count_nonzero(mask[outcomes]))
         rate = successes / runs
         rows.append(SweepRow(prob=float(cfg.prob), successes=successes, runs=runs, rate=rate))

@@ -283,6 +283,12 @@ class TestMeasureControlStack:
         assert np.array_equal(p1, np.zeros(3))
 
 
+def diagonal_blocks(stack):
+    """The (0, 0) and (1, 1) work blocks of the control of every member."""
+    half = stack.shape[-1] // 2
+    return stack[:, :half, :half], stack[:, half:, half:]
+
+
 class TestSampleControl:
     def test_dead_outcome_never_chosen(self):
         # control |1>, |0>, and |0> with weight 1e-15: a draw below a dead
@@ -290,19 +296,20 @@ class TestSampleControl:
         tiny = densemat.kron(np.diag([1e-15, 1 - 1e-15]).astype(complex), np.eye(2) / 2)
         one = densemat.kron(np.diag([0.0, 1.0]).astype(complex), np.eye(2) / 2)
         zero = densemat.kron(np.diag([1.0, 0.0]).astype(complex), np.eye(2) / 2)
-        bits, sigma = sample_control(np.stack([one, zero, tiny]), np.array([0.0, 0.999, 0.0]))
+        blocks = diagonal_blocks(np.stack([one, zero, tiny]))
+        bits, sigma = sample_control(*blocks, np.array([0.0, 0.999, 0.0]))
         assert list(bits) == [1, 0, 1]
         assert np.allclose(sigma, np.eye(2) / 2)
 
     def test_both_dead_rejected(self):
         stack = np.stack([bell_state(), np.zeros((4, 4), dtype=complex)])
         with pytest.raises(ValueError):
-            sample_control(stack, np.array([0.5, 0.5]))
+            sample_control(*diagonal_blocks(stack), np.array([0.5, 0.5]))
 
     def test_matches_measure_and_reprepare(self, rng):
         states = [random_density_matrix(8, rng) for _ in range(6)]
         draws = rng.random(6)
-        bits, sigma = sample_control(np.stack(states), draws)
+        bits, sigma = sample_control(*diagonal_blocks(np.stack(states)), draws)
         reprepared = plus_control(sigma)
         for rho, draw, bit, member in zip(states, draws, bits, reprepared):
             (p0, b0), (_, b1) = measure_control(ComputerState(rho=rho, stage=0, bits=()))

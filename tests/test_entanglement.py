@@ -4,6 +4,7 @@ import pytest
 
 from mixshor import densemat
 from mixshor.entanglement import (
+    CLAMP_TOL,
     average_log_negativity,
     bipartitions,
     is_ppt,
@@ -143,7 +144,12 @@ class TestInvariances:
 
 class TestMixedness:
     def test_pure(self, rng):
-        assert mixedness(random_density_matrix(8, rng, rank=1)) < 1e-9
+        # round-off below CLAMP_TOL is reported as exactly zero, one state
+        # or a stack, while the reference entropy keeps it
+        states = np.stack([random_density_matrix(8, rng, rank=1) for _ in range(4)])
+        assert mixedness(states[0]) == 0.0
+        assert np.array_equal(mixedness(states), np.zeros(4))
+        assert np.all(densemat.von_neumann_entropy(states) < CLAMP_TOL)
 
     def test_maximally_mixed(self):
         assert abs(mixedness(np.eye(16, dtype=complex) / 16) - 4.0) < 1e-12

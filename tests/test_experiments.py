@@ -73,14 +73,16 @@ def explicit_tree(inst, kind, epsilon=0.0):
     return averages, leaf
 
 
-def reference_trajectory(inst, kind, cfg, rng):
+def reference_stages(inst, kind, cfg, rng):
     """One Monte Carlo run, one state at a time, from the public circuit steps.
 
-    Draws happen lazily in circuit order: one per noisy qubit after every
-    gate, then one for the measurement, which takes |0> below p0 and
-    never a dead branch.
+    Yields the measured bit and the kept work block sigma after every
+    stage.  Draws happen lazily in circuit order: one per noisy qubit
+    after every gate, then one for the measurement, which takes |0>
+    below p0 and never a dead branch.
     """
     state = initial_state(inst, kind)
+    half = 1 << inst.n
     for s in range(inst.L):
         rho = state.rho
         for apply in stage_gates(inst, s, state.bits):
@@ -88,9 +90,16 @@ def reference_trajectory(inst, kind, cfg, rng):
         (p0, b0), (p1, b1) = measure_control(ComputerState(rho, state.stage, state.bits))
         draw = rng.random()
         state = b0 if b1 is None or (b0 is not None and draw < p0) else b1
+        bit = state.bits[-1]
+        block = slice(bit * half, (bit + 1) * half)
+        yield bit, state.rho[block, block]
         if s < inst.L - 1:
             state = reprepare_control(state)
-    return sum(bit << i for i, bit in enumerate(state.bits))
+
+
+def reference_trajectory(inst, kind, cfg, rng):
+    """The outcome c of reference_stages, bit s with weight 2^s."""
+    return sum(bit << s for s, (bit, _) in enumerate(reference_stages(inst, kind, cfg, rng)))
 
 
 class TestTreeProfile:
@@ -369,7 +378,7 @@ class TestMonteCarlo:
                             cfg = None if prob == 0.0 else NoiseConfig(channel, prob, exclude)
                             streams = [experiments._run_rng(seed, run) for run in range(runs)]
                             expected = [reference_trajectory(inst, kind, cfg, r) for r in streams]
-                            got = experiments._sweep_outcomes(inst, kind, cfg, runs, seed)
+                            got = experiments._sweep_outcomes(inst, kind, [cfg], runs, seed)[0]
                             assert list(got) == expected, (N, kind, channel, prob, exclude)
                             rows = monte_carlo_sweep(inst, kind, channel, [prob], runs, exclude, seed)
                             assert rows[0].successes == sum(mask[c] for c in expected)
@@ -383,10 +392,58 @@ class TestMonteCarlo:
                 reference_trajectory(inst, MIXED_N, cfg, experiments._run_rng(2, run))
                 for run in range(5)
             ]
-            got = experiments._sweep_outcomes(inst, MIXED_N, cfg, 5, 2)
+            got = experiments._sweep_outcomes(inst, MIXED_N, [cfg], 5, 2)[0]
         finally:
             densemat.set_validation(False)
         assert list(got) == expected
+
+    @pytest.mark.parametrize("N, a", [(6, 5), (15, 2), (21, 2)])
+    def test_block_stepper_states_match_full_state_path(self, N, a):
+        # every stage's kept sigma of the block stepper against the full
+        # (d, d) path of reference_stages, run by run from the same stream:
+        # the control noise where it falls, each work qubit's hits of the
+        # whole stage applied once, after the measurement
+        runs, seed = 3, 17
+        inst = build_instance(N, a)
+        for kind in (PURE, MIXED_N, MIXED_FULL):
+            for channel in (PAULI, MEASUREMENT):
+                for prob in (0.3, 1.0):
+                    for exclude in (False, True):
+                        cfg = NoiseConfig(channel, prob, exclude)
+                        draws = experiments._draws_per_run(inst, cfg)
+                        streams = [experiments._run_rng(seed, run) for run in range(runs)]
+                        uniforms = np.stack([rng.random(draws) for rng in streams])
+                        steps = experiments._run_steps(inst, kind, cfg, uniforms)
+                        references = [
+                            reference_stages(inst, kind, cfg, experiments._run_rng(seed, run))
+                            for run in range(runs)
+                        ]
+                        for s, (bits, sigma) in enumerate(steps):
+                            for run, reference in enumerate(references):
+                                bit, expected = next(reference)
+                                where = (kind, channel, prob, exclude, s, run)
+                                assert bits[run] == bit, where
+                                assert np.max(np.abs(sigma[run] - expected)) <= 1e-12, where
+                        assert s == inst.L - 1
+
+    def test_grid_points_share_each_runs_stream(self, monkeypatch):
+        # each chunk's streams are drawn once for the whole grid; every point,
+        # the noiseless ones reading only the leading columns, gets the
+        # outcomes it gets alone
+        inst = build_instance(15, 2)
+        configs = [NoiseConfig(PAULI, 0.3), None, NoiseConfig(PAULI, 0.0), NoiseConfig(PAULI, 1.0)]
+        alone = [experiments._sweep_outcomes(inst, PURE, [cfg], 13, 5)[0] for cfg in configs]
+        built = []
+        run_rng = experiments._run_rng
+
+        def counted(seed, run):
+            built.append(run)
+            return run_rng(seed, run)
+
+        monkeypatch.setattr(experiments, "_run_rng", counted)
+        together = experiments._sweep_outcomes(inst, PURE, configs, 13, 5)
+        assert built == list(range(13))
+        assert np.array_equal(together, alone)
 
     def test_mixed_state_dephasing_is_harmless_for_power_of_two_period(self):
         # with the work register already diagonal and r = 2^m, measurement
@@ -496,10 +553,13 @@ class TestEnsemble:
         assert len(instances) == 20
 
     def test_profile_shape_and_positivity(self):
+        # the pure computer stays pure: every member entropy is round-off
+        # below CLAMP_TOL, so every mixedness report is exactly 0
         reports = experiments.ensemble_profile(4, PURE)
         assert len(reports) == 16
         assert all(r.avg_logneg >= 0 for r in reports)
         assert max(r.avg_logneg for r in reports) > 0.1
+        assert [r.mixedness for r in reports] == [0.0] * 16
 
     @pytest.mark.parametrize("kind", [PURE, MIXED_N, MIXED_FULL])
     def test_paired_profile_matches_plain_mean_of_every_tree(self, kind, all_ensemble_trees):
