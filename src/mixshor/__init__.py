@@ -19,7 +19,6 @@ from .circuit import (
     reprepare_control,
     run_stage_gates,
 )
-from .densemat import set_validation, validation_enabled
 from .entanglement import average_log_negativity, bipartitions, is_ppt, log_negativity, mixedness
 from .experiments import (
     MixSweepRow,
@@ -85,9 +84,7 @@ __all__ = [
     "reprepare_control",
     "run_stage_gates",
     "semiprime_list",
-    "set_validation",
     "success_probability_exact",
     "tree_leaf_distribution",
     "tree_profile",
-    "validation_enabled",
 ]

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import densemat, numtheory
+from . import numtheory
 
 __all__ = [
     "DEAD_BRANCH_TOL",
@@ -76,8 +76,12 @@ class ComputerState:
     """
 
     rho: np.ndarray
-    stage: int
     bits: tuple[int, ...]
+
+    @property
+    def stage(self) -> int:
+        """The stage whose gates come next: one per measured bit."""
+        return len(self.bits)
 
 
 def build_instance(N: int, a: int) -> ShorInstance:
@@ -122,7 +126,7 @@ def initial_state(
 ) -> ComputerState:
     """Control prepared toward |+> (mixed by epsilon), work register per kind."""
     work = np.diag(work_distribution(inst, kind)).astype(complex)
-    return ComputerState(rho=plus_control(work, epsilon), stage=0, bits=())
+    return ComputerState(rho=plus_control(work, epsilon), bits=())
 
 
 @lru_cache(maxsize=None)
@@ -225,14 +229,12 @@ def run_stage_gates(state: ComputerState, inst: ShorInstance) -> ComputerState:
 
     `state.rho` is one state or a (B, d, d) stack whose `bits` hold one
     vector per measured bit (see phase_correction_angle).  Does not
-    measure; the stage counter advances on measurement.
+    measure; the stage advances with the measured bit.
     """
     rho = state.rho
     for apply in stage_gates(inst, state.stage, state.bits):
         rho = apply(rho)
-    if densemat.validation_enabled():
-        densemat.assert_valid_state(rho, context=f"stage {state.stage} gates")
-    return ComputerState(rho=rho, stage=state.stage, bits=state.bits)
+    return ComputerState(rho=rho, bits=state.bits)
 
 
 def _outcomes(block0: np.ndarray, block1: np.ndarray):
@@ -285,9 +287,9 @@ def measure_control(state: ComputerState):
         sl = slice(bit * half, (bit + 1) * half)
         out[:, sl, sl] = members[live, sl, sl] / np.ravel(p)[live][:, None, None]
         if rho.ndim == 2:
-            return ComputerState(rho=out[0], stage=state.stage + 1, bits=state.bits + (bit,))
+            return ComputerState(rho=out[0], bits=state.bits + (bit,))
         bits = tuple(b[live] for b in state.bits) + (np.full(len(out), bit),)
-        return ComputerState(rho=out, stage=state.stage + 1, bits=bits)
+        return ComputerState(rho=out, bits=bits)
 
     if rho.ndim == 2:
         p0, p1 = float(p0), float(p1)
@@ -322,7 +324,7 @@ def reprepare_control(state: ComputerState, epsilon: float = 0.0) -> ComputerSta
     if not state.bits:
         raise ValueError("control has not been measured yet")
     sigma = _control_block(state.rho, state.bits[-1])
-    return ComputerState(rho=plus_control(sigma, epsilon), stage=state.stage, bits=state.bits)
+    return ComputerState(rho=plus_control(sigma, epsilon), bits=state.bits)
 
 
 def plus_control(sigma: np.ndarray, epsilon: float = 0.0) -> np.ndarray:

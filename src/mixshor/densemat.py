@@ -5,10 +5,6 @@ m-qubit system is sum_q bit_q * 2**(m - 1 - q), i.e. qubit 0 is the most
 significant bit and occupies the leading block of every matrix.  All
 operations are pure functions on complex numpy arrays and return new
 arrays.
-
-A module-level validation switch enables the expensive consistency
-checks (gate unitarity, state positivity, eigendecomposition residuals)
-that are too slow to leave on during production sweeps.
 """
 
 from __future__ import annotations
@@ -23,8 +19,6 @@ __all__ = [
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
-    "set_validation",
-    "validation_enabled",
     "num_qubits",
     "kron",
     "is_hermitian",
@@ -47,18 +41,6 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_TOL = 1e-9
-
-_validation = False
-
-
-def set_validation(enabled: bool) -> None:
-    """Globally enable or disable the expensive internal checks."""
-    global _validation
-    _validation = bool(enabled)
-
-
-def validation_enabled() -> bool:
-    return _validation
 
 
 def num_qubits(mat: np.ndarray) -> int:
@@ -110,10 +92,9 @@ def apply_unitary(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Conjugate a state by a full-dimension unitary: U rho U^dagger."""
     if u.shape != rho.shape:
         raise ValueError(f"operator shape {u.shape} does not match state {rho.shape}")
-    if _validation:
-        dev = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
-        if dev > HERMITICITY_TOL:
-            raise ValueError(f"operator is not unitary (deviation {dev:.2e})")
+    dev = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
+    if dev > HERMITICITY_TOL:
+        raise ValueError(f"operator is not unitary (deviation {dev:.2e})")
     return _hermitize(u @ rho @ u.conj().T)
 
 
@@ -187,14 +168,7 @@ def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, in descending order."""
     if not is_hermitian(mat, tol=1e-8):
         raise ValueError("matrix is not Hermitian within 1e-8")
-    if _validation:
-        vals, vecs = np.linalg.eigh(mat)
-        residual = np.max(np.abs(mat - (vecs * vals) @ vecs.conj().T))
-        if residual > 1e-8:
-            raise ValueError(f"eigendecomposition residual {residual:.2e}")
-    else:
-        vals = np.linalg.eigvalsh(mat)
-    return vals[::-1].copy()
+    return np.linalg.eigvalsh(mat)[::-1].copy()
 
 
 def trace_norm_hermitian(mat: np.ndarray) -> float:

@@ -107,6 +107,4 @@ def noise_pass(rho: np.ndarray, config: NoiseConfig | None, rng) -> np.ndarray:
         hits = np.asarray(rng.random() < config.prob)
         if hits.any():
             out[hits] = channel(out[hits], q)
-    if densemat.validation_enabled():
-        densemat.assert_valid_state(out, context="noise pass")
     return out

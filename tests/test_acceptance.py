@@ -296,7 +296,7 @@ def test_criterion_8_invariant_suite(rng):
     mono_excess = 0.0
     for _ in range(200):
         rho = random_density_matrix(16, rng)
-        (p0, b0), (p1, b1) = measure_control(ComputerState(rho=rho, stage=0, bits=()))
+        (p0, b0), (p1, b1) = measure_control(ComputerState(rho=rho, bits=()))
         after = 0.0
         if b0 is not None:
             after += p0 * average_log_negativity(b0.rho)

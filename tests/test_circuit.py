@@ -199,15 +199,15 @@ class TestStageEvolution:
 
     def test_gates_preserve_state_validity(self):
         inst = build_instance(10, 3)
-        densemat.set_validation(True)
-        try:
-            state = initial_state(inst, MIXED_N)
-            for _ in range(4):
-                state = run_stage_gates(state, inst)
-                (_, b0), (_, b1) = measure_control(state)
-                state = reprepare_control(b1 if b1 is not None else b0)
-        finally:
-            densemat.set_validation(False)
+        state = initial_state(inst, MIXED_N)
+        for s in range(inst.L):
+            state = run_stage_gates(state, inst)
+            densemat.assert_valid_state(state.rho, context=f"stage {s} gates")
+            (_, b0), (_, b1) = measure_control(state)
+            state = b1 if b1 is not None else b0
+            densemat.assert_valid_state(state.rho, context=f"stage {s} measured")
+            state = reprepare_control(state)
+            densemat.assert_valid_state(state.rho, context=f"stage {s} re-prepared")
 
 
 class TestMeasureControl:
@@ -220,14 +220,14 @@ class TestMeasureControl:
 
     def test_definite_control_kills_other_branch(self):
         rho = densemat.kron(np.diag([1.0, 0]).astype(complex), np.eye(4, dtype=complex) / 4)
-        (p0, b0), (p1, b1) = measure_control(ComputerState(rho=rho, stage=0, bits=()))
+        (p0, b0), (p1, b1) = measure_control(ComputerState(rho=rho, bits=()))
         assert abs(p0 - 1.0) < 1e-14
         assert b1 is None
         assert np.allclose(b0.rho, rho)
 
     def test_collapse_of_correlated_work_qubit(self):
         # measuring the control of a Bell pair collapses the work qubit
-        (p0, b0), (p1, b1) = measure_control(ComputerState(rho=bell_state(), stage=0, bits=()))
+        (p0, b0), (p1, b1) = measure_control(ComputerState(rho=bell_state(), bits=()))
         assert abs(p0 - 0.5) < 1e-12
         work0 = densemat.partial_trace(b0.rho, {0})
         work1 = densemat.partial_trace(b1.rho, {0})
@@ -235,7 +235,7 @@ class TestMeasureControl:
         assert abs(work1[1, 1] - 1.0) < 1e-12
 
     def test_corrupt_state_rejected(self):
-        zero = ComputerState(rho=np.zeros((4, 4), dtype=complex), stage=0, bits=())
+        zero = ComputerState(rho=np.zeros((4, 4), dtype=complex), bits=())
         with pytest.raises(ValueError):
             measure_control(zero)
 
@@ -244,12 +244,12 @@ class TestMeasureControlStack:
     # a (B, d, d) stack measures each member exactly as it is measured alone
     def _alone(self, states, history):
         return [
-            measure_control(ComputerState(rho=rho, stage=1, bits=(int(bit),)))
+            measure_control(ComputerState(rho=rho, bits=(int(bit),)))
             for rho, bit in zip(states, history)
         ]
 
     def _check(self, states, history):
-        stacked = measure_control(ComputerState(rho=np.stack(states), stage=1, bits=(history,)))
+        stacked = measure_control(ComputerState(rho=np.stack(states), bits=(history,)))
         alone = self._alone(states, history)
         for bit, (p, branch) in enumerate(stacked):
             assert np.array_equal(p, [one[bit][0] for one in alone])
@@ -312,7 +312,7 @@ class TestSampleControl:
         bits, sigma = sample_control(*diagonal_blocks(np.stack(states)), draws)
         reprepared = plus_control(sigma)
         for rho, draw, bit, member in zip(states, draws, bits, reprepared):
-            (p0, b0), (_, b1) = measure_control(ComputerState(rho=rho, stage=0, bits=()))
+            (p0, b0), (_, b1) = measure_control(ComputerState(rho=rho, bits=()))
             assert bit == (0 if draw < p0 else 1)
             expected = reprepare_control(b0 if bit == 0 else b1).rho
             assert np.array_equal(member, expected)
@@ -355,7 +355,7 @@ class TestClosedFormPreparation:
         sigma = random_density_matrix(8, rng)
         for bit in (0, 1):
             measured = densemat.kron(np.diag([1.0 - bit, float(bit)]), sigma)
-            state = ComputerState(rho=measured, stage=1, bits=(bit,))
+            state = ComputerState(rho=measured, bits=(bit,))
             for eps in self.EPSILONS:
                 got = reprepare_control(state, eps).rho
                 expected = mix_then_hadamard(measured, bit, eps)
@@ -379,10 +379,10 @@ class TestClosedFormPreparation:
         members = [
             densemat.kron(np.diag([1.0 - b, float(b)]), random_density_matrix(4, rng)) for b in bits
         ]
-        stack = ComputerState(rho=np.stack(members), stage=1, bits=(bits,))
+        stack = ComputerState(rho=np.stack(members), bits=(bits,))
         got = reprepare_control(stack, 0.1).rho
         for member, rho, bit in zip(got, members, bits):
-            alone = ComputerState(rho=rho, stage=1, bits=(int(bit),))
+            alone = ComputerState(rho=rho, bits=(int(bit),))
             assert np.array_equal(member, reprepare_control(alone, 0.1).rho)
 
 

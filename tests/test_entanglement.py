@@ -130,7 +130,7 @@ class TestInvariances:
 
         for _ in range(30):
             rho = random_density_matrix(16, rng)
-            state = ComputerState(rho=rho, stage=0, bits=())
+            state = ComputerState(rho=rho, bits=())
             (p0, b0), (p1, b1) = measure_control(state)
             for p in bipartitions(4):
                 before = log_negativity(rho, p)

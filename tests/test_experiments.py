@@ -73,23 +73,27 @@ def explicit_tree(inst, kind, epsilon=0.0):
     return averages, leaf
 
 
-def reference_stages(inst, kind, cfg, rng):
+def reference_stages(inst, kind, cfg, rng, check=lambda rho: None):
     """One Monte Carlo run, one state at a time, from the public circuit steps.
 
     Yields the measured bit and the kept work block sigma after every
     stage.  Draws happen lazily in circuit order: one per noisy qubit
     after every gate, then one for the measurement, which takes |0>
-    below p0 and never a dead branch.
+    below p0 and never a dead branch.  `check` sees every state: the
+    prepared one, each after a gate and its noise, and the measured one.
     """
     state = initial_state(inst, kind)
     half = 1 << inst.n
     for s in range(inst.L):
         rho = state.rho
+        check(rho)
         for apply in stage_gates(inst, s, state.bits):
             rho = noise_pass(apply(rho), cfg, rng)
-        (p0, b0), (p1, b1) = measure_control(ComputerState(rho, state.stage, state.bits))
+            check(rho)
+        (p0, b0), (p1, b1) = measure_control(ComputerState(rho, state.bits))
         draw = rng.random()
         state = b0 if b1 is None or (b0 is not None and draw < p0) else b1
+        check(state.rho)
         bit = state.bits[-1]
         block = slice(bit * half, (bit + 1) * half)
         yield bit, state.rho[block, block]
@@ -125,6 +129,22 @@ class TestTreeProfile:
         for r in reports[:12]:
             assert r.avg_logneg < 1e-12
             assert r.mixedness < 1e-9
+
+    @pytest.mark.parametrize("N, a", [(18, 13), (21, 4)])
+    def test_pure_mixedness_is_exactly_zero(self, N, a):
+        # low-probability branches carry round-off entropies above
+        # CLAMP_TOL; weighted by their path mass they must still read 0
+        reports = tree_profile(build_instance(N, a), PURE).reports
+        assert [r.mixedness for r in reports] == [0.0] * len(reports)
+
+    @pytest.mark.parametrize("N, a", [(10, 3), (15, 2)])
+    def test_tree_steps_yield_valid_states(self, N, a):
+        # full states after the gates, normalized work blocks after the measurement
+        inst = build_instance(N, a)
+        for kind in (PURE, MIXED_N, MIXED_FULL):
+            for eps in (0.0, 0.25):
+                for point, _, states, _ in experiments._tree_steps(inst, kind, eps):
+                    densemat.assert_valid_state(states, context=f"{kind} eps={eps} point {point}")
 
     def test_initial_mixedness_for_mixed_kind(self):
         inst = build_instance(15, 2)
@@ -383,18 +403,23 @@ class TestMonteCarlo:
                             rows = monte_carlo_sweep(inst, kind, channel, [prob], runs, exclude, seed)
                             assert rows[0].successes == sum(mask[c] for c in expected)
 
-    def test_batched_runs_match_reference_with_validation(self):
+    def test_batched_runs_match_reference_with_valid_states(self):
+        # every kept sigma of the block stepper and every state of the
+        # full-state path is a density matrix, and the outcomes agree
         inst = build_instance(10, 3)
         cfg = NoiseConfig(PAULI, 0.3)
-        densemat.set_validation(True)
-        try:
-            expected = [
-                reference_trajectory(inst, MIXED_N, cfg, experiments._run_rng(2, run))
-                for run in range(5)
-            ]
-            got = experiments._sweep_outcomes(inst, MIXED_N, [cfg], 5, 2)[0]
-        finally:
-            densemat.set_validation(False)
+        runs, seed = 5, 2
+        draws = experiments._draws_per_run(inst, cfg)
+        uniforms = np.stack([experiments._run_rng(seed, run).random(draws) for run in range(runs)])
+        got = np.zeros(runs, dtype=np.int64)
+        for s, (bit, sigma) in enumerate(experiments._run_steps(inst, MIXED_N, cfg, uniforms)):
+            densemat.assert_valid_state(sigma, context=f"stage {s}")
+            got += bit << s
+        expected = []
+        for run in range(runs):
+            rng = experiments._run_rng(seed, run)
+            stages = reference_stages(inst, MIXED_N, cfg, rng, check=densemat.assert_valid_state)
+            expected.append(sum(bit << s for s, (bit, _) in enumerate(stages)))
         assert list(got) == expected
 
     @pytest.mark.parametrize("N, a", [(6, 5), (15, 2), (21, 2)])
