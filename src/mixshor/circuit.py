@@ -311,7 +311,8 @@ def sample_control(block0: np.ndarray, block1: np.ndarray, draws: np.ndarray):
     p0, p1, dead0, dead1 = _outcomes(block0, block1)
     bits = np.where(dead1 | (~dead0 & (draws < p0)), 0, 1)
     kept = np.where(bits[:, None, None] == 0, block0, block1)
-    return bits, kept / np.where(bits, p1, p0)[:, None, None]
+    kept /= np.where(bits, p1, p0)[:, None, None]
+    return bits, kept
 
 
 def reprepare_control(state: ComputerState, epsilon: float = 0.0) -> ComputerState:

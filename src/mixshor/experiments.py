@@ -4,14 +4,16 @@ The tree runner enumerates every measurement branch with its path
 probability, giving exact stage averages and the exact outcome
 distribution; Monte Carlo trajectories sample measurement results and
 noise events instead.  Both step their states together in chunks of a
-fixed byte budget: the tree as stacked (B, d, d) states, Monte Carlo as
-the four (B, d/2, d/2) blocks of the control.  Monte Carlo run i
+fixed byte budget per member of the largest stacked array they hold:
+the tree forms (B, d, d) post-gate states, Monte Carlo only the four
+(B, d/2, d/2) blocks of the control.  Monte Carlo run i
 draws only from its own (seed, i) stream, so its outcome does not depend
 on which runs share its chunk.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +41,9 @@ __all__ = [
     "find_entanglement_crossing",
 ]
 
-# Byte budget of one stacked (B, d, d) complex state in a chunk of tree
-# branches or Monte Carlo runs: B = 8 at d = 32, 2 at d = 64.
+# Byte budget of the largest stacked complex array a stepper holds: the
+# tree's (B, d, d) states get B = 32/8/2 at d = 16/32/64, Monte Carlo's
+# (B, d/2, d/2) control blocks B = 128/32/8.
 CHUNK_BYTES = 1 << 17
 
 _POINT_KINDS = ("post_gate", "post_measure")
@@ -85,10 +88,9 @@ class TreeResult:
         return float(np.mean([r.avg_logneg for r in self.reports]))
 
 
-def _chunk_size(inst: ShorInstance) -> int:
-    """Stack members per chunk: CHUNK_BYTES per stacked complex state."""
-    dim = 1 << inst.m
-    return max(1, CHUNK_BYTES // (16 * dim * dim))
+def _chunk_size(side: int) -> int:
+    """Stack members per chunk: CHUNK_BYTES per stack of (side, side) complex matrices."""
+    return max(1, CHUNK_BYTES // (16 * side * side))
 
 
 def _point_entanglement(states: np.ndarray, post_measure: bool) -> np.ndarray:
@@ -120,7 +122,7 @@ def _tree_steps(inst: ShorInstance, kind: InitialStateKind, epsilon: float):
     re-prepares the control of a chunk of at most CHUNK_BYTES, runs its
     gates and measures it.
     """
-    chunk = _chunk_size(inst)
+    chunk = _chunk_size(1 << inst.m)
     half = 1 << inst.n
     sigma = np.diag(circuit.work_distribution(inst, kind)).astype(complex)[None]
     probs = np.ones(1)
@@ -330,7 +332,8 @@ def _run_steps(
     the measurement included, and is idempotent: a work qubit hit after
     any gate of the stage gets its channel once, on the kept sigma.  The
     measurement takes |0> when the run's draw falls below p0, never a
-    dead branch.
+    dead branch.  The phase angle of stage s is read off the outcome
+    bits so far, by _phase_angle.
     """
     draws = _Columns(uniforms)
     runs, half = uniforms.shape[0], 1 << inst.n
@@ -359,25 +362,50 @@ def _run_steps(
 
     work = np.diag(circuit.work_distribution(inst, kind)).astype(complex)
     sigma = np.broadcast_to(work, (runs,) + work.shape)
-    bits: list[np.ndarray] = []
+    outcome = np.zeros(runs, dtype=np.int64)
     for s in range(inst.L):
         perm = circuit._modmult_inverse_permutation(inst, inst.L - 1 - s)[half:] - half
         a = sigma * 0.5
-        b, c, d = a[:, :, perm], a[:, perm], a[:, perm[:, None], perm]
+        del sigma  # at most sigma's four blocks and one of their sums are held at once
+        # take gathers into C-contiguous blocks; fancy indexing would
+        # leave b, c, d transposed in memory and every later pass slower
+        b, c = a.take(perm, axis=2), a.take(perm, axis=1)
+        d = c.take(perm, axis=2)
         hits = gate_hits((a, d), (b, c))
         if s:
-            phase = np.exp(-2j * np.pi * circuit.phase_correction_angle(bits, s))[:, None, None]
+            phase = np.exp(-2j * np.pi * _phase_angle(outcome, s))[:, None, None]
             c *= phase
             b *= np.conj(phase)
             hits |= gate_hits((a, d), (b, c))
-        top, bottom = (a + b + c + d) * 0.5, (a - b - c + d) * 0.5
+        # ((a + b) + c) + d and ((a - b) - c) + d, halved, in place
+        top = a + b
+        top += c
+        top += d
+        top *= 0.5
+        bottom = a
+        bottom -= b
+        bottom -= c
+        bottom += d
+        bottom *= 0.5
+        del a, b, c, d
         hits |= gate_hits((top, bottom), ())
         bit, sigma = circuit.sample_control(top, bottom, draws.random())
+        del top, bottom
         for q, hit in enumerate(hits[-inst.n :]):
             if hit.any():
                 sigma[hit] = channel(sigma[hit], q)
-        bits.append(bit)
+        outcome |= bit << s
         yield bit, sigma
+
+
+def _phase_angle(outcome: np.ndarray, s: int) -> np.ndarray:
+    """theta_s of circuit.phase_correction_angle, per run, from its outcome bits so far.
+
+    theta_s = (c mod 2^s) / 2^(s+1) for the outcome c, bit k with weight
+    2^k: a dyadic rational, exact in floating point, so equal bitwise to
+    the sum over the bits.
+    """
+    return (outcome & ((1 << s) - 1)) / (2 << s)
 
 
 def _run_stack(
@@ -387,8 +415,9 @@ def _run_stack(
     uniforms: np.ndarray,
 ) -> np.ndarray:
     """Each run's outcome c, bit s with weight 2^s, from _run_steps."""
-    steps = _run_steps(inst, kind, cfg, uniforms)
-    return sum(bit << s for s, (bit, _) in enumerate(steps))
+    # map holds no yielded sigma while the stepper forms the next stage
+    bits = map(operator.itemgetter(0), _run_steps(inst, kind, cfg, uniforms))
+    return sum(bit << s for s, bit in enumerate(bits))
 
 
 def run_trajectory(
@@ -416,13 +445,13 @@ def _sweep_outcomes(
 ) -> np.ndarray:
     """Outcomes of runs 0..runs-1 at every configuration, shape (len(configs), runs).
 
-    Runs are stepped in chunks of CHUNK_BYTES per stacked state.  Each
-    chunk's streams are drawn once, as long as the hungriest
-    configuration needs; one that needs fewer draws, such as a noiseless
-    one, reads the leading columns, which are the draws its own shorter
-    stream would give.
+    Runs are stepped in chunks of CHUNK_BYTES per stack of control
+    blocks.  Each chunk's streams are drawn once, as long as the
+    hungriest configuration needs; one that needs fewer draws, such as a
+    noiseless one, reads the leading columns, which are the draws its own
+    shorter stream would give.
     """
-    chunk = _chunk_size(inst)
+    chunk = _chunk_size(1 << inst.n)
     totals = [_draws_per_run(inst, cfg) for cfg in configs]
     outcomes = np.zeros((len(configs), runs), dtype=np.int64)
     for first in range(0, runs, chunk):

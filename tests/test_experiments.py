@@ -256,6 +256,24 @@ class TestTreeProfile:
         assert np.max(np.abs([r.mixedness for r in reports] - s_av)) < 1e-12
 
 
+class TestChunks:
+    @pytest.mark.parametrize("N, a, tree, runs", [(6, 5, 32, 128), (15, 2, 8, 32), (21, 2, 2, 8)])
+    def test_each_stepper_fills_the_chunk_budget_with_its_largest_array(self, N, a, tree, runs):
+        # the tree holds (B, d, d) post-gate states, Monte Carlo (B, d/2, d/2)
+        # control blocks; the tree's B is that of the full-state rule
+        inst = build_instance(N, a)
+        for side, chunk in ((1 << inst.m, tree), (1 << inst.n, runs)):
+            assert experiments._chunk_size(side) == chunk
+            assert chunk * 16 * side**2 <= experiments.CHUNK_BYTES
+            assert (chunk + 1) * 16 * side**2 > experiments.CHUNK_BYTES
+
+    @pytest.mark.parametrize("N, a, chunk", [(9, 2, 8), (21, 2, 2)])
+    def test_tree_steps_chunks_of_full_states(self, N, a, chunk):
+        inst = build_instance(N, a)
+        steps = experiments._tree_steps(inst, PURE, 0.0)
+        assert max(probs.size for point, probs, _, _ in steps if point % 2 == 0) == chunk
+
+
 def oracle_pairs():
     """Per composite N in 6..31: the base of largest order (smallest on ties) and N - 1."""
     pairs = []
@@ -386,7 +404,8 @@ class TestMonteCarlo:
             assert 0 <= c < inst.t
 
     def test_batched_runs_match_reference_outcome_for_outcome(self):
-        # 13 runs: not a multiple of the chunk size at any supported d
+        # 13 runs: one partial chunk at d = 32, a full chunk of 8 and a
+        # partial one at d = 64
         runs, seed = 13, 401
         for N, a in ((10, 3), (15, 2), (21, 2)):
             inst = build_instance(N, a)
@@ -450,6 +469,42 @@ class TestMonteCarlo:
                                 assert bits[run] == bit, where
                                 assert np.max(np.abs(sigma[run] - expected)) <= 1e-12, where
                         assert s == inst.L - 1
+
+    def test_runs_across_a_chunk_boundary_match_runs_stepped_alone(self, monkeypatch):
+        # 37 runs at d = 32 step as chunks of 32 and 5; each run's outcome
+        # is the one it gets stepped alone, B = 1, from its own stream
+        inst = build_instance(15, 2)
+        runs, seed = 37, 23
+        stacks = []
+        run_stack = experiments._run_stack
+
+        def recorded(inst, kind, cfg, uniforms):
+            stacks.append(uniforms.shape[0])
+            return run_stack(inst, kind, cfg, uniforms)
+
+        monkeypatch.setattr(experiments, "_run_stack", recorded)
+        for kind in (PURE, MIXED_N):
+            for channel in (PAULI, MEASUREMENT):
+                for prob in (0.3, 1.0):
+                    cfg = NoiseConfig(channel, prob)
+                    draws = experiments._draws_per_run(inst, cfg)
+                    streams = [experiments._run_rng(seed, run) for run in range(runs)]
+                    alone = [run_stack(inst, kind, cfg, rng.random((1, draws)))[0] for rng in streams]
+                    got = experiments._sweep_outcomes(inst, kind, [cfg], runs, seed)[0]
+                    assert stacks == [32, 5]
+                    stacks.clear()
+                    assert list(got) == alone, (kind, channel, prob)
+
+    @pytest.mark.parametrize("s", range(9))
+    def test_phase_angle_from_outcome_equals_sum_over_bits(self, s):
+        # exact dyadic values: equal bitwise, one run at a time and as a stack
+        outcomes = np.arange(1 << s)
+        bits = [(outcomes >> k) & 1 for k in range(s)]
+        angles = experiments._phase_angle(outcomes, s)
+        expected = np.broadcast_to(circuit.phase_correction_angle(bits, s), angles.shape)
+        assert np.array_equal(angles, expected)
+        for c in range(1 << s):
+            assert angles[c] == circuit.phase_correction_angle([(c >> k) & 1 for k in range(s)], s)
 
     def test_grid_points_share_each_runs_stream(self, monkeypatch):
         # each chunk's streams are drawn once for the whole grid; every point,
