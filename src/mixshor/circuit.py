@@ -7,6 +7,10 @@ multiplication with exponent 2^(L-1-s), an adaptive phase correction
 conditioned on all previous measurement results, and a Hadamard on the
 control, after which the control is measured; the measured bit m_s
 carries weight 2^s in the outcome c = sum_s 2^s m_s.
+
+Both engines run a stage on the four (d/2, d/2) control blocks of each
+member's work block (_stage_blocks); the full-state functions
+(initial_state, stage_gates, reprepare_control) are their reference.
 """
 
 from __future__ import annotations
@@ -172,6 +176,16 @@ def phase_correction_angle(bits, s: int) -> float:
     return theta
 
 
+def _phase_angle(outcome: np.ndarray, s: int) -> np.ndarray:
+    """theta_s of phase_correction_angle, per member, from its outcome bits so far.
+
+    theta_s = (c mod 2^s) / 2^(s+1) for the outcome c, bit k with weight
+    2^k: a dyadic rational, exact in floating point, so equal bitwise to
+    the sum over the bits.
+    """
+    return (outcome & ((1 << s) - 1)) / (2 << s)
+
+
 # The gate kernels act on one state or on a stack of states along leading
 # axes, and treat every member exactly as they would treat it alone.
 
@@ -224,17 +238,66 @@ def stage_gates(inst: ShorInstance, s: int, bits):
     return ops
 
 
-def run_stage_gates(state: ComputerState, inst: ShorInstance) -> ComputerState:
-    """Apply the controlled multiplication, phase correction and Hadamard of state.stage.
+def _stage_blocks(sigma: np.ndarray, inst: ShorInstance, s: int, outcome, epsilon: float = 0.0):
+    """The four control blocks of stage s up to its Hadamard, from each member's work block.
 
-    `state.rho` is one state or a (B, d, d) stack whose `bits` hold one
-    vector per measured bit (see phase_correction_angle).  Does not
-    measure; the stage advances with the measured bit.
+    The stage step of both steppers, bit for bit the full-state gates of
+    stage_gates.  The control is prepared toward |+> mixed by epsilon, as
+    by plus_control; the controlled multiplication permutes the work
+    indices of the control-1 side, and from stage 1 the phase correction,
+    read off each member's outcome c so far by _phase_angle, turns the
+    off-diagonal blocks.  Returns the C-contiguous (0, 0), (0, 1), (1, 0)
+    and (1, 1) blocks a, b, c, d.
     """
-    rho = state.rho
-    for apply in stage_gates(inst, state.stage, state.bits):
-        rho = apply(rho)
-    return ComputerState(rho=rho, bits=state.bits)
+    if not 0.0 <= epsilon <= 0.5:
+        raise ValueError(f"epsilon={epsilon} outside [0, 1/2]")
+    half = sigma.shape[-1]
+    perm = _modmult_inverse_permutation(inst, inst.L - 1 - s)[half:] - half
+    a = sigma * 0.5
+    # take gathers into C-contiguous blocks; fancy indexing would leave
+    # them transposed in memory and every later pass slower
+    b, c = a.take(perm, axis=2), a.take(perm, axis=1)
+    d = c.take(perm, axis=2)
+    if epsilon:
+        b *= 1.0 - 2.0 * epsilon
+        c *= 1.0 - 2.0 * epsilon
+    if s:
+        phase = np.exp(-2j * np.pi * _phase_angle(outcome, s))[:, None, None]
+        c *= phase
+        b *= np.conj(phase)
+    return a, b, c, d
+
+
+def _hadamard_diagonal(a, b, c, d):
+    """The (0, 0) and (1, 1) blocks after the control Hadamard, the second in a's buffer.
+
+    ((a + b) + c) + d and ((a - b) - c) + d, each halved: the order of
+    _apply_control_hadamard, formed in place.
+    """
+    top = a + b
+    top += c
+    top += d
+    top *= 0.5
+    a -= b
+    a -= c
+    a += d
+    a *= 0.5
+    return top, a
+
+
+def run_stage_gates(sigma: np.ndarray, inst: ShorInstance, s: int, outcome, epsilon: float = 0.0):
+    """The (B, d, d) states after stage s's gates, from each member's work block.
+
+    The blocks of _stage_blocks through the Hadamard, for the members'
+    outcomes c so far (bit k with weight 2^k).  Does not measure.
+    """
+    a, b, c, d = _stage_blocks(sigma, inst, s, outcome, epsilon)
+    half = sigma.shape[-1]
+    rho = np.empty((len(a), 2 * half, 2 * half), dtype=a.dtype)
+    rho[:, :half, half:] = (a - b + c - d) * 0.5
+    rho[:, half:, :half] = (a + b - c - d) * 0.5
+    rho[:, :half, :half], rho[:, half:, half:] = _hadamard_diagonal(a, b, c, d)
+    return rho
 
 
 def _outcomes(block0: np.ndarray, block1: np.ndarray):
@@ -264,36 +327,22 @@ def _control_block(rho: np.ndarray, bit) -> np.ndarray:
     return flat[np.arange(bit.size), bit, :, bit, :].reshape(lead + (half, half))
 
 
-def measure_control(state: ComputerState):
-    """Projective measurement of the control in the computational basis.
+def measure_control(block0: np.ndarray, block1: np.ndarray):
+    """Projective measurement of the control of every state of a stack, from its diagonal blocks.
 
-    Returns ((p0, branch0), (p1, branch1)); a branch with probability
-    below DEAD_BRANCH_TOL is dead and returned as None.  On a (B, d, d)
-    stack, whose `bits` are per-member vectors, p0 and p1 hold every
-    member's probabilities and each branch holds, in order, the members
-    for which that outcome is alive, or is None when it is dead for all
-    of them.
+    The counterpart of sample_control that keeps both outcomes, by the
+    same rules.  Returns ((p0, kept0), (p1, kept1)): every member's
+    probabilities, and in member order the blocks divided by their
+    probabilities (sigma in |bit><bit| (x) sigma) of the members for
+    which that outcome is alive, or None when it is dead for all.
     """
-    rho = state.rho
-    half = rho.shape[-1] // 2
-    p0, p1, dead0, dead1 = _outcomes(rho[..., :half, :half], rho[..., half:, half:])
+    p0, p1, dead0, dead1 = _outcomes(block0, block1)
 
-    def collapse(bit: int, p, dead) -> ComputerState | None:
-        live = ~np.ravel(dead)
-        if not live.any():
-            return None
-        members = rho.reshape((-1,) + rho.shape[-2:])
-        out = np.zeros((np.count_nonzero(live),) + rho.shape[-2:], dtype=rho.dtype)
-        sl = slice(bit * half, (bit + 1) * half)
-        out[:, sl, sl] = members[live, sl, sl] / np.ravel(p)[live][:, None, None]
-        if rho.ndim == 2:
-            return ComputerState(rho=out[0], bits=state.bits + (bit,))
-        bits = tuple(b[live] for b in state.bits) + (np.full(len(out), bit),)
-        return ComputerState(rho=out, bits=bits)
+    def kept(block, p, dead):
+        live = ~dead
+        return block[live] / p[live][:, None, None] if live.any() else None
 
-    if rho.ndim == 2:
-        p0, p1 = float(p0), float(p1)
-    return (p0, collapse(0, p0, dead0)), (p1, collapse(1, p1, dead1))
+    return (p0, kept(block0, p0, dead0)), (p1, kept(block1, p1, dead1))
 
 
 def sample_control(block0: np.ndarray, block1: np.ndarray, draws: np.ndarray):
@@ -302,7 +351,7 @@ def sample_control(block0: np.ndarray, block1: np.ndarray, draws: np.ndarray):
     `block0` and `block1` are the (B, d/2, d/2) stacks of the (0, 0) and
     (1, 1) work blocks of the control: nothing else of a state enters
     its measurement.  Run i takes outcome 0 when draws[i] < p0, by the
-    rules of measure_control: a dead outcome (probability below
+    rules of _outcomes: a dead outcome (probability below
     DEAD_BRANCH_TOL) is never chosen, and a state whose outcomes are both
     dead raises.  Returns the outcome bits and the kept blocks, each
     divided by its own probability: the stack of sigma in

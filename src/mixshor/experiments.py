@@ -3,10 +3,11 @@
 The tree runner enumerates every measurement branch with its path
 probability, giving exact stage averages and the exact outcome
 distribution; Monte Carlo trajectories sample measurement results and
-noise events instead.  Both step their states together in chunks of a
-fixed byte budget per member of the largest stacked array they hold:
-the tree forms (B, d, d) post-gate states, Monte Carlo only the four
-(B, d/2, d/2) blocks of the control.  Monte Carlo run i
+noise events instead.  Both keep each member's work block between
+stages and run a stage on the four control blocks of
+circuit._stage_blocks, in chunks of a fixed byte budget per member of
+the largest stacked array they hold: the tree forms (B, d, d) post-gate
+states, Monte Carlo only the (B, d/2, d/2) blocks.  Monte Carlo run i
 draws only from its own (seed, i) stream, so its outcome does not depend
 on which runs share its chunk.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit, entanglement, noise, numtheory
-from .circuit import ComputerState, InitialStateKind, ShorInstance
+from .circuit import InitialStateKind, ShorInstance
 from .noise import NoiseConfig
 from .noise import noise_pass  # noqa: F401  the benchmark tracer patches it here by name
 
@@ -119,8 +120,9 @@ def _tree_steps(inst: ShorInstance, kind: InitialStateKind, epsilon: float):
     the measured states |bit><bit| (x) sigma.  `probs` are the path
     probabilities and `c` the outcome bits measured so far, bit s with
     weight 2^s.  Between stages only the work blocks are kept; each stage
-    re-prepares the control of a chunk of at most CHUNK_BYTES, runs its
-    gates and measures it.
+    runs the gates of a chunk of at most CHUNK_BYTES of full states on
+    its control blocks (circuit.run_stage_gates) and measures it on the
+    two diagonal blocks (circuit.measure_control).
     """
     chunk = _chunk_size(1 << inst.m)
     half = 1 << inst.n
@@ -132,20 +134,14 @@ def _tree_steps(inst: ShorInstance, kind: InitialStateKind, epsilon: float):
         for lo in range(0, probs.size, chunk):
             part = slice(lo, lo + chunk)
             chunk_probs, chunk_c = probs[part], c[part]
-            bits = tuple((chunk_c >> k) & 1 for k in range(s))
-            rho = circuit.plus_control(sigma[part], epsilon)
-            state = circuit.run_stage_gates(ComputerState(rho, bits), inst)
-            yield 2 * s, chunk_probs, state.rho, chunk_c
+            rho = circuit.run_stage_gates(sigma[part], inst, s, chunk_c, epsilon)
+            yield 2 * s, chunk_probs, rho, chunk_c
             kids = []
-            for bit, (p, branch) in enumerate(circuit.measure_control(state)):
-                if branch is not None:
+            branches = circuit.measure_control(rho[:, :half, :half], rho[:, half:, half:])
+            for bit, (p, kept) in enumerate(branches):
+                if kept is not None:
                     live = p >= circuit.DEAD_BRANCH_TOL
-                    block = slice(bit * half, (bit + 1) * half)
-                    kids.append((
-                        branch.rho[:, block, block],
-                        chunk_probs[live] * p[live],
-                        chunk_c[live] | bit << s,
-                    ))
+                    kids.append((kept, chunk_probs[live] * p[live], chunk_c[live] | bit << s))
             kid_sigma, kid_probs, kid_c = (np.concatenate(x) for x in zip(*kids))
             yield 2 * s + 1, kid_probs, kid_sigma, kid_c
             total += kid_probs.sum()
@@ -284,21 +280,6 @@ def _run_rng(seed: int, run: int):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-class _Columns:
-    """The up-front uniforms of a chunk, handed out one column at a time.
-
-    Row i holds run i's draws in circuit order; each random() call returns
-    the next draw of every run: one per noisy qubit, in ascending order,
-    after every gate, then one for the measurement.
-    """
-
-    def __init__(self, uniforms: np.ndarray):
-        self._columns = iter(uniforms.T)
-
-    def random(self) -> np.ndarray:
-        return next(self._columns)
-
-
 def _draws_per_run(inst: ShorInstance, cfg: NoiseConfig | None) -> int:
     """Uniforms one trajectory consumes: one per noisy qubit per gate, one per measurement."""
     gates = 3 * inst.L - 1  # cu and h at every stage, the phase from stage 1 on
@@ -318,94 +299,64 @@ def _run_steps(
 ):
     """Step a stack of trajectories on their control blocks; yields (bits, sigma) per stage.
 
-    Row i of `uniforms` (shape (B, _draws_per_run)) is run i's stream,
-    read through _Columns.  Each run keeps only its work block sigma
-    between stages, starting from the diagonal work distribution.  A
-    stage works on the four (d/2, d/2) blocks of the control: |+> puts
-    sigma/2 in each, the controlled multiplication permutes the work
-    indices of the control-1 side, the phase turns the off-diagonal
-    blocks, and of the Hadamard only the two diagonal blocks are formed,
-    since the measurement reads nothing else.  Control noise acts on the
-    blocks after the gate that drew it; after the Hadamard, dephasing
-    changes neither p0, p1 nor sigma, so only its draw is read.  A
-    channel on a work qubit commutes with every step on the control,
-    the measurement included, and is idempotent: a work qubit hit after
-    any gate of the stage gets its channel once, on the kept sigma.  The
-    measurement takes |0> when the run's draw falls below p0, never a
-    dead branch.  The phase angle of stage s is read off the outcome
-    bits so far, by _phase_angle.
+    Row i of `uniforms` (shape (B, _draws_per_run)) is run i's stream:
+    per stage, one draw per noisy qubit (the control first) after every
+    gate, then one for the measurement, which takes |0> below p0 and
+    never a dead branch.  A stage reads its hits up front.  Each run
+    keeps only its work block sigma, from the diagonal work distribution
+    on; of the Hadamard only the two diagonal blocks are formed, since
+    the measurement reads nothing else.  Every channel is idempotent.
+    The control's commutes with the diagonal phase, so a run hit after
+    the multiplication or the phase gets it once, before the Hadamard;
+    after the Hadamard, dephasing changes neither p0, p1 nor sigma.  A
+    work qubit's commutes with every step on the control, the
+    measurement included: one hit after any gate of the stage gets its
+    channel once, on the kept sigma.
     """
-    draws = _Columns(uniforms)
-    runs, half = uniforms.shape[0], 1 << inst.n
+    runs = uniforms.shape[0]
     noisy = _noisy_qubits(inst, cfg)
+    prob = cfg.prob if noisy else 0.0
     control = noisy == inst.m
     measurement = noisy and cfg.kind == noise.MEASUREMENT
     channel = noise.dephase_qubit if measurement else noise.depolarize_qubit
-
-    def gate_hits(diagonal, off_diagonal) -> np.ndarray:
-        """The (noisy, B) hits of one gate's draws, the control's applied to its blocks.
-
-        In closed form: dephasing zeroes the off-diagonal blocks;
-        depolarizing, I/2 (x) Tr_0, also puts the mean of the diagonal
-        blocks in both.
-        """
-        hits = np.array([draws.random() < cfg.prob for _ in range(noisy)], bool)
-        hits = hits.reshape(noisy, runs)
-        if control:
-            hit = hits[0]
-            for block in off_diagonal:
-                block[hit] = 0.0
-            if cfg.kind == noise.PAULI:
-                upper, lower = diagonal
-                upper[hit] = lower[hit] = (upper[hit] + lower[hit]) * 0.5
-        return hits
-
     work = np.diag(circuit.work_distribution(inst, kind)).astype(complex)
     sigma = np.broadcast_to(work, (runs,) + work.shape)
     outcome = np.zeros(runs, dtype=np.int64)
+    first = 0
     for s in range(inst.L):
-        perm = circuit._modmult_inverse_permutation(inst, inst.L - 1 - s)[half:] - half
-        a = sigma * 0.5
-        del sigma  # at most sigma's four blocks and one of their sums are held at once
-        # take gathers into C-contiguous blocks; fancy indexing would
-        # leave b, c, d transposed in memory and every later pass slower
-        b, c = a.take(perm, axis=2), a.take(perm, axis=1)
-        d = c.take(perm, axis=2)
-        hits = gate_hits((a, d), (b, c))
-        if s:
-            phase = np.exp(-2j * np.pi * _phase_angle(outcome, s))[:, None, None]
-            c *= phase
-            b *= np.conj(phase)
-            hits |= gate_hits((a, d), (b, c))
-        # ((a + b) + c) + d and ((a - b) - c) + d, halved, in place
-        top = a + b
-        top += c
-        top += d
-        top *= 0.5
-        bottom = a
-        bottom -= b
-        bottom -= c
-        bottom += d
-        bottom *= 0.5
+        gates = 3 if s else 2  # cu and h, with the phase between them from stage 1 on
+        last = first + gates * noisy
+        hits = uniforms[:, first:last].reshape(runs, gates, noisy) < prob
+        draws = uniforms[:, last]
+        first = last + 1
+        a, b, c, d = circuit._stage_blocks(sigma, inst, s, outcome)
+        del sigma  # at most five (B, d/2, d/2) stacks are held at once
+        if control:
+            _control_channel(cfg.kind, hits[:, :-1, 0].any(axis=1), (a, d), (b, c))
+        top, bottom = circuit._hadamard_diagonal(a, b, c, d)
         del a, b, c, d
-        hits |= gate_hits((top, bottom), ())
-        bit, sigma = circuit.sample_control(top, bottom, draws.random())
+        if control:
+            _control_channel(cfg.kind, hits[:, -1, 0], (top, bottom), ())
+        bit, sigma = circuit.sample_control(top, bottom, draws)
         del top, bottom
-        for q, hit in enumerate(hits[-inst.n :]):
+        for q, hit in enumerate(hits[:, :, -inst.n :].any(axis=1).T):
             if hit.any():
                 sigma[hit] = channel(sigma[hit], q)
         outcome |= bit << s
         yield bit, sigma
 
 
-def _phase_angle(outcome: np.ndarray, s: int) -> np.ndarray:
-    """theta_s of circuit.phase_correction_angle, per run, from its outcome bits so far.
+def _control_channel(kind: str, hit: np.ndarray, diagonal, off_diagonal) -> None:
+    """The control's channel on the runs hit, in closed form on their control blocks.
 
-    theta_s = (c mod 2^s) / 2^(s+1) for the outcome c, bit k with weight
-    2^k: a dyadic rational, exact in floating point, so equal bitwise to
-    the sum over the bits.
+    Dephasing zeroes the off-diagonal blocks; depolarizing, I/2 (x) Tr_0,
+    also puts the mean of the diagonal blocks in both.
     """
-    return (outcome & ((1 << s) - 1)) / (2 << s)
+    for block in off_diagonal:
+        block[hit] = 0.0
+    if kind == noise.PAULI:
+        upper, lower = diagonal
+        upper[hit] = lower[hit] = (upper[hit] + lower[hit]) * 0.5
 
 
 def _run_stack(

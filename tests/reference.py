@@ -1,0 +1,173 @@
+"""The full-state reference path that the engines are checked against.
+
+Every function here acts on whole (d, d) density matrices, or stacks of
+them, through the public gate kernels of `mixshor.circuit`
+(`stage_gates`, `plus_control`, `reprepare_control`) and
+`mixshor.noise.noise_pass`; none uses the block stage of the engines.
+`run_stage_gates` and `measure_control` are the full-state forms that
+the engines' block forms replace.
+"""
+
+import numpy as np
+
+from mixshor.circuit import (
+    DEAD_BRANCH_TOL,
+    ComputerState,
+    _outcomes,
+    initial_state,
+    plus_control,
+    reprepare_control,
+    stage_gates,
+    work_distribution,
+)
+from mixshor.entanglement import average_log_negativity
+from mixshor.noise import noise_pass
+
+
+def run_stage_gates(state: ComputerState, inst) -> ComputerState:
+    """Apply the controlled multiplication, phase correction and Hadamard of state.stage.
+
+    `state.rho` is one state or a (B, d, d) stack whose `bits` hold one
+    vector per measured bit (see phase_correction_angle).  Does not
+    measure; the stage advances with the measured bit.
+    """
+    rho = state.rho
+    for apply in stage_gates(inst, state.stage, state.bits):
+        rho = apply(rho)
+    return ComputerState(rho=rho, bits=state.bits)
+
+
+def measure_control(state: ComputerState):
+    """Projective measurement of the control in the computational basis.
+
+    Returns ((p0, branch0), (p1, branch1)); a branch with probability
+    below DEAD_BRANCH_TOL is dead and returned as None.  On a (B, d, d)
+    stack, whose `bits` are per-member vectors, p0 and p1 hold every
+    member's probabilities and each branch holds, in order, the members
+    for which that outcome is alive, or is None when it is dead for all
+    of them.
+    """
+    rho = state.rho
+    half = rho.shape[-1] // 2
+    p0, p1, dead0, dead1 = _outcomes(rho[..., :half, :half], rho[..., half:, half:])
+
+    def collapse(bit: int, p, dead) -> ComputerState | None:
+        live = ~np.ravel(dead)
+        if not live.any():
+            return None
+        members = rho.reshape((-1,) + rho.shape[-2:])
+        out = np.zeros((np.count_nonzero(live),) + rho.shape[-2:], dtype=rho.dtype)
+        sl = slice(bit * half, (bit + 1) * half)
+        out[:, sl, sl] = members[live, sl, sl] / np.ravel(p)[live][:, None, None]
+        if rho.ndim == 2:
+            return ComputerState(rho=out[0], bits=state.bits + (bit,))
+        bits = tuple(b[live] for b in state.bits) + (np.full(len(out), bit),)
+        return ComputerState(rho=out, bits=bits)
+
+    if rho.ndim == 2:
+        p0, p1 = float(p0), float(p1)
+    return (p0, collapse(0, p0, dead0)), (p1, collapse(1, p1, dead1))
+
+
+def reference_tree_steps(inst, kind, epsilon, chunk):
+    """The measurement tree on full states, yielding what experiments._tree_steps yields.
+
+    (point, probs, states, c) per chunk of `chunk` branches at each of
+    the 2L sampling points: the full post-gate states, then the work
+    blocks sigma of the measured states, with path probabilities and
+    outcome bits so far.  Each stage prepares the control with
+    plus_control, runs stage_gates on the full stack and collapses it
+    with the full-state measure_control.
+    """
+    half = 1 << inst.n
+    sigma = np.diag(work_distribution(inst, kind)).astype(complex)[None]
+    probs, c = np.ones(1), np.zeros(1, dtype=np.int64)
+    for s in range(inst.L):
+        grown = []
+        for lo in range(0, probs.size, chunk):
+            part = slice(lo, lo + chunk)
+            chunk_probs, chunk_c = probs[part], c[part]
+            bits = tuple((chunk_c >> k) & 1 for k in range(s))
+            rho = plus_control(sigma[part], epsilon)
+            state = run_stage_gates(ComputerState(rho, bits), inst)
+            yield 2 * s, chunk_probs, state.rho, chunk_c
+            kids = []
+            for bit, (p, branch) in enumerate(measure_control(state)):
+                if branch is not None:
+                    live = p >= DEAD_BRANCH_TOL
+                    block = slice(bit * half, (bit + 1) * half)
+                    kids.append((
+                        branch.rho[:, block, block],
+                        chunk_probs[live] * p[live],
+                        chunk_c[live] | bit << s,
+                    ))
+            kid_sigma, kid_probs, kid_c = (np.concatenate(x) for x in zip(*kids))
+            yield 2 * s + 1, kid_probs, kid_sigma, kid_c
+            grown.append((kid_sigma, kid_probs, kid_c))
+        sigma, probs, c = (np.concatenate(x) for x in zip(*grown))
+
+
+def explicit_tree(inst, kind, epsilon=0.0):
+    """Re-walk the measurement tree keeping per-branch probability lists.
+
+    Stage averages are recomputed from the explicit product of branch
+    probabilities, as an independent check of the incremental weights.
+    """
+    branches = [(initial_state(inst, kind, epsilon), [])]
+    averages = []
+    for s in range(inst.L):
+        branches = [(run_stage_gates(st, inst), probs) for st, probs in branches]
+        averages.append(
+            sum(np.prod(probs) * average_log_negativity(st.rho) for st, probs in branches)
+        )
+        grown = []
+        for st, probs in branches:
+            (p0, b0), (p1, b1) = measure_control(st)
+            if b0 is not None:
+                grown.append((b0, probs + [p0]))
+            if b1 is not None:
+                grown.append((b1, probs + [p1]))
+        branches = grown
+        averages.append(
+            sum(np.prod(probs) * average_log_negativity(st.rho) for st, probs in branches)
+        )
+        if s < inst.L - 1:
+            branches = [(reprepare_control(st, epsilon), probs) for st, probs in branches]
+    leaf = np.zeros(inst.t)
+    for st, probs in branches:
+        c = sum(bit << i for i, bit in enumerate(st.bits))
+        leaf[c] += np.prod(probs)
+    return averages, leaf
+
+
+def reference_stages(inst, kind, cfg, rng, check=lambda rho: None):
+    """One Monte Carlo run, one state at a time, from the full-state circuit steps.
+
+    Yields the measured bit and the kept work block sigma after every
+    stage.  Draws happen lazily in circuit order: one per noisy qubit
+    after every gate, then one for the measurement, which takes |0>
+    below p0 and never a dead branch.  `check` sees every state: the
+    prepared one, each after a gate and its noise, and the measured one.
+    """
+    state = initial_state(inst, kind)
+    half = 1 << inst.n
+    for s in range(inst.L):
+        rho = state.rho
+        check(rho)
+        for apply in stage_gates(inst, s, state.bits):
+            rho = noise_pass(apply(rho), cfg, rng)
+            check(rho)
+        (p0, b0), (p1, b1) = measure_control(ComputerState(rho, state.bits))
+        draw = rng.random()
+        state = b0 if b1 is None or (b0 is not None and draw < p0) else b1
+        check(state.rho)
+        bit = state.bits[-1]
+        block = slice(bit * half, (bit + 1) * half)
+        yield bit, state.rho[block, block]
+        if s < inst.L - 1:
+            state = reprepare_control(state)
+
+
+def reference_trajectory(inst, kind, cfg, rng):
+    """The outcome c of reference_stages, bit s with weight 2^s."""
+    return sum(bit << s for s, (bit, _) in enumerate(reference_stages(inst, kind, cfg, rng)))

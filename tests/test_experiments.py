@@ -2,17 +2,7 @@ import numpy as np
 import pytest
 
 from mixshor import circuit, densemat, experiments
-from mixshor.circuit import (
-    ComputerState,
-    InitialStateKind,
-    build_instance,
-    initial_state,
-    measure_control,
-    reference_distribution,
-    reprepare_control,
-    run_stage_gates,
-    stage_gates,
-)
+from mixshor.circuit import InitialStateKind, build_instance, initial_state, reference_distribution
 from mixshor.entanglement import (
     CLAMP_TOL,
     average_log_negativity,
@@ -32,78 +22,21 @@ from mixshor.experiments import (
     tree_leaf_distribution,
     tree_profile,
 )
-from mixshor.noise import MEASUREMENT, PAULI, NoiseConfig, noise_pass
-from mixshor.numtheory import coprime_list, is_prime, multiplicative_order
+from mixshor.noise import MEASUREMENT, PAULI, NoiseConfig
+from mixshor.numtheory import coprime_list, is_prime
+
+from reference import (
+    explicit_tree,
+    measure_control,
+    reference_stages,
+    reference_trajectory,
+    reference_tree_steps,
+    run_stage_gates,
+)
 
 PURE = InitialStateKind.PURE
 MIXED_N = InitialStateKind.MIXED_N
 MIXED_FULL = InitialStateKind.MIXED_FULL
-
-
-def explicit_tree(inst, kind, epsilon=0.0):
-    """Re-walk the measurement tree keeping per-branch probability lists.
-
-    Stage averages are recomputed from the explicit product of branch
-    probabilities, as an independent check of the incremental weights.
-    """
-    branches = [(initial_state(inst, kind, epsilon), [])]
-    averages = []
-    for s in range(inst.L):
-        branches = [(run_stage_gates(st, inst), probs) for st, probs in branches]
-        averages.append(
-            sum(np.prod(probs) * average_log_negativity(st.rho) for st, probs in branches)
-        )
-        grown = []
-        for st, probs in branches:
-            (p0, b0), (p1, b1) = measure_control(st)
-            if b0 is not None:
-                grown.append((b0, probs + [p0]))
-            if b1 is not None:
-                grown.append((b1, probs + [p1]))
-        branches = grown
-        averages.append(
-            sum(np.prod(probs) * average_log_negativity(st.rho) for st, probs in branches)
-        )
-        if s < inst.L - 1:
-            branches = [(reprepare_control(st, epsilon), probs) for st, probs in branches]
-    leaf = np.zeros(inst.t)
-    for st, probs in branches:
-        c = sum(bit << i for i, bit in enumerate(st.bits))
-        leaf[c] += np.prod(probs)
-    return averages, leaf
-
-
-def reference_stages(inst, kind, cfg, rng, check=lambda rho: None):
-    """One Monte Carlo run, one state at a time, from the public circuit steps.
-
-    Yields the measured bit and the kept work block sigma after every
-    stage.  Draws happen lazily in circuit order: one per noisy qubit
-    after every gate, then one for the measurement, which takes |0>
-    below p0 and never a dead branch.  `check` sees every state: the
-    prepared one, each after a gate and its noise, and the measured one.
-    """
-    state = initial_state(inst, kind)
-    half = 1 << inst.n
-    for s in range(inst.L):
-        rho = state.rho
-        check(rho)
-        for apply in stage_gates(inst, s, state.bits):
-            rho = noise_pass(apply(rho), cfg, rng)
-            check(rho)
-        (p0, b0), (p1, b1) = measure_control(ComputerState(rho, state.bits))
-        draw = rng.random()
-        state = b0 if b1 is None or (b0 is not None and draw < p0) else b1
-        check(state.rho)
-        bit = state.bits[-1]
-        block = slice(bit * half, (bit + 1) * half)
-        yield bit, state.rho[block, block]
-        if s < inst.L - 1:
-            state = reprepare_control(state)
-
-
-def reference_trajectory(inst, kind, cfg, rng):
-    """The outcome c of reference_stages, bit s with weight 2^s."""
-    return sum(bit << s for s, (bit, _) in enumerate(reference_stages(inst, kind, cfg, rng)))
 
 
 class TestTreeProfile:
@@ -145,6 +78,26 @@ class TestTreeProfile:
             for eps in (0.0, 0.25):
                 for point, _, states, _ in experiments._tree_steps(inst, kind, eps):
                     densemat.assert_valid_state(states, context=f"{kind} eps={eps} point {point}")
+
+    @pytest.mark.parametrize("N, a", [(6, 5), (9, 2), (15, 2), (21, 2)])
+    def test_tree_steps_equal_full_state_walk(self, N, a):
+        # the block stage against plus_control, the full-state gates and
+        # the full-state collapse, chunk by chunk at every sampling point:
+        # path probabilities, states and outcome bits equal bitwise
+        inst = build_instance(N, a)
+        chunk = experiments._chunk_size(1 << inst.m)
+        for kind in (PURE, MIXED_N, MIXED_FULL):
+            for eps in (0.0, 0.25):
+                steps = experiments._tree_steps(inst, kind, eps)
+                reference = reference_tree_steps(inst, kind, eps, chunk)
+                count = 0
+                for got, expected in zip(steps, reference, strict=True):
+                    where = (kind, eps, got[0])
+                    assert got[0] == expected[0], where
+                    for x, y in zip(got[1:], expected[1:]):
+                        assert np.array_equal(x, y), where
+                    count += 1
+                assert count >= 2 * inst.L
 
     def test_initial_mixedness_for_mixed_kind(self):
         inst = build_instance(15, 2)
@@ -217,9 +170,9 @@ class TestTreeProfile:
         # caller of the tree stepper, the early-stop average included
         measure = circuit.measure_control
 
-        def leaky(state):
-            (p0, b0), (p1, b1) = measure(state)
-            return (p0 * 0.9, b0), (p1 * 0.9, b1)
+        def leaky(block0, block1):
+            (p0, kept0), (p1, kept1) = measure(block0, block1)
+            return (p0 * 0.9, kept0), (p1 * 0.9, kept1)
 
         monkeypatch.setattr(circuit, "measure_control", leaky)
         inst = build_instance(15, 2)
@@ -275,21 +228,14 @@ class TestChunks:
 
 
 def oracle_pairs():
-    """Per composite N in 6..31: the base of largest order (smallest on ties) and N - 1."""
-    pairs = []
-    for n in range(6, 32):
-        if is_prime(n):
-            continue
-        orders = {a: multiplicative_order(a, n) for a in coprime_list(n)}
-        largest = min(a for a, r in orders.items() if r == max(orders.values()))
-        pairs += [(n, a) for a in sorted({largest, n - 1})]
-    return pairs
+    """Every (N, a): N composite in 6..31, 2 <= a < N coprime to N."""
+    return [(n, a) for n in range(6, 32) if not is_prime(n) for a in coprime_list(n)]
 
 
 class TestOracleSweep:
     def test_pair_count(self):
-        # N = 6 has the single base 5, which is both
-        assert len(oracle_pairs()) == 35
+        # 138 pairs, 414 distributions over the three kinds
+        assert len(oracle_pairs()) == 138
 
     @pytest.mark.parametrize("n, a", oracle_pairs())
     def test_leaf_distribution_matches_reference(self, n, a):
@@ -371,21 +317,15 @@ class TestMonteCarlo:
             monte_carlo_sweep(inst, PURE, PAULI, [0.1], 0, exclude_control=False, seed=1)
 
     @pytest.mark.parametrize("N, a", [(6, 5), (15, 2), (21, 2)])
-    def test_run_reads_exactly_its_draws(self, N, a, monkeypatch):
-        # one uniform more would end the columns early, one fewer would leave one unread
-        readers = []
+    def test_run_reads_exactly_its_draws(self, N, a):
+        # every column of a run's stream is read, and read once; one
+        # uniform fewer leaves a stage short
 
-        class CountingColumns(experiments._Columns):
-            def __init__(self, uniforms):
-                super().__init__(uniforms)
-                self.read = 0
-                readers.append(self)
+        class Recorded(np.ndarray):
+            def __getitem__(self, key):
+                self.read.extend(np.arange(self.shape[1])[key[1]].ravel())
+                return np.asarray(self)[key]
 
-            def random(self):
-                self.read += 1
-                return super().random()
-
-        monkeypatch.setattr(experiments, "_Columns", CountingColumns)
         inst = build_instance(N, a)
         rng = np.random.default_rng(3)
         for kind in (PURE, MIXED_N, MIXED_FULL):
@@ -394,8 +334,13 @@ class TestMonteCarlo:
                     for prob in (0.0, 0.3):
                         cfg = NoiseConfig(channel, prob, exclude)
                         draws = experiments._draws_per_run(inst, cfg)
-                        experiments._run_stack(inst, kind, cfg, rng.random((2, draws)))
-                        assert readers.pop().read == draws, (kind, channel, exclude, prob)
+                        uniforms = rng.random((2, draws)).view(Recorded)
+                        uniforms.read = []
+                        experiments._run_stack(inst, kind, cfg, uniforms)
+                        where = (kind, channel, exclude, prob)
+                        assert sorted(uniforms.read) == list(range(draws)), where
+                        with pytest.raises((IndexError, ValueError)):
+                            experiments._run_stack(inst, kind, cfg, rng.random((2, draws - 1)))
 
     def test_trajectory_returns_valid_outcome(self):
         inst = build_instance(10, 3)
@@ -494,17 +439,6 @@ class TestMonteCarlo:
                     assert stacks == [32, 5]
                     stacks.clear()
                     assert list(got) == alone, (kind, channel, prob)
-
-    @pytest.mark.parametrize("s", range(9))
-    def test_phase_angle_from_outcome_equals_sum_over_bits(self, s):
-        # exact dyadic values: equal bitwise, one run at a time and as a stack
-        outcomes = np.arange(1 << s)
-        bits = [(outcomes >> k) & 1 for k in range(s)]
-        angles = experiments._phase_angle(outcomes, s)
-        expected = np.broadcast_to(circuit.phase_correction_angle(bits, s), angles.shape)
-        assert np.array_equal(angles, expected)
-        for c in range(1 << s):
-            assert angles[c] == circuit.phase_correction_angle([(c >> k) & 1 for k in range(s)], s)
 
     def test_grid_points_share_each_runs_stream(self, monkeypatch):
         # each chunk's streams are drawn once for the whole grid; every point,
