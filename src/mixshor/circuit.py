@@ -32,7 +32,6 @@ __all__ = [
     "build_instance",
     "initial_state",
     "work_distribution",
-    "controlled_modmult_unitary",
     "phase_correction_angle",
     "stage_gates",
     "run_stage_gates",
@@ -142,21 +141,6 @@ def _modmult_inverse_permutation(inst: ShorInstance, x: int) -> np.ndarray:
     inv[half : half + inst.N] = half + inverse * np.arange(inst.N) % inst.N
     inv.flags.writeable = False
     return inv
-
-
-def controlled_modmult_unitary(inst: ShorInstance, x: int) -> np.ndarray:
-    """Permutation matrix of the controlled modular multiplication.
-
-    Identity on the control=0 block and on work values b >= N; on the
-    control=1 block it multiplies b < N by a^(2^x) mod N, precomputed
-    classically.
-    """
-    if not 0 <= x < inst.L:
-        raise ValueError(f"exponent index {x} outside 0..{inst.L - 1}")
-    inv = _modmult_inverse_permutation(inst, x)
-    u = np.zeros((inv.size, inv.size), dtype=complex)
-    u[np.arange(inv.size), inv] = 1.0
-    return u
 
 
 def phase_correction_angle(bits, s: int) -> float:
@@ -315,18 +299,6 @@ def _outcomes(block0: np.ndarray, block1: np.ndarray):
     return p0, p1, dead0, dead1
 
 
-def _control_block(rho: np.ndarray, bit) -> np.ndarray:
-    """The (bit, bit) work block of one state, or of each member of a stack.
-
-    `bit` is one int or one per member; the block of |bit><bit| (x) sigma
-    is sigma.
-    """
-    lead, half = rho.shape[:-2], rho.shape[-1] // 2
-    bit = np.broadcast_to(bit, lead).ravel()
-    flat = rho.reshape(-1, 2, half, 2, half)
-    return flat[np.arange(bit.size), bit, :, bit, :].reshape(lead + (half, half))
-
-
 def measure_control(block0: np.ndarray, block1: np.ndarray):
     """Projective measurement of the control of every state of a stack, from its diagonal blocks.
 
@@ -369,12 +341,13 @@ def reprepare_control(state: ComputerState, epsilon: float = 0.0) -> ComputerSta
 
     The measured state |bit><bit| (x) sigma becomes plus_control(sigma,
     epsilon), whichever the bit; epsilon = 0 reproduces the exact |+>
-    reset.  On a stack the last bit is one per member.
+    reset.
     """
     if not state.bits:
         raise ValueError("control has not been measured yet")
-    sigma = _control_block(state.rho, state.bits[-1])
-    return ComputerState(rho=plus_control(sigma, epsilon), bits=state.bits)
+    half = state.rho.shape[-1] // 2
+    block = slice(state.bits[-1] * half, (state.bits[-1] + 1) * half)
+    return ComputerState(rho=plus_control(state.rho[block, block], epsilon), bits=state.bits)
 
 
 def plus_control(sigma: np.ndarray, epsilon: float = 0.0) -> np.ndarray:

@@ -64,15 +64,15 @@ def average_log_negativity(rho: np.ndarray):
     return float(means[0]) if rho.ndim == 2 else means
 
 
-def is_ppt(rho: np.ndarray, partition, tol: float = 1e-10) -> bool:
-    """True when the partial transpose has no eigenvalue below -tol.
+def is_ppt(rho: np.ndarray, partition) -> bool:
+    """True when the partial transpose has no eigenvalue below -1e-10.
 
     A positive partial transpose is necessary (not sufficient) for
     separability, so is_ppt=False certifies entanglement while
     is_ppt=True certifies nothing.
     """
     vals = densemat.hermitian_eigenvalues(densemat.partial_transpose(rho, partition))
-    return bool(vals[-1] >= -tol)
+    return bool(vals[-1] >= -1e-10)
 
 
 def mixedness(rho: np.ndarray):

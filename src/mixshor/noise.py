@@ -88,23 +88,20 @@ def depolarize_qubit(rho: np.ndarray, q: int) -> np.ndarray:
 
 
 def noise_pass(rho: np.ndarray, config: NoiseConfig | None, rng) -> np.ndarray:
-    """One post-gate noise opportunity for every qubit.
+    """One post-gate noise opportunity for every qubit of one state.
 
-    `rho` is one state or a (B, d, d) stack of trajectories.  Per qubit in
-    ascending order (skipping the control qubit 0 when excluded),
-    `rng.random()` gives the draw, one uniform for a single state and one
-    per member for a stack, and the configured channel is applied to the
-    states whose draw falls below prob.  `rng` must hold each
+    Per qubit in ascending order (skipping the control qubit 0 when
+    excluded), `rng.random()` gives one uniform draw, and the configured
+    channel is applied when it falls below prob.  `rng` must hold the
     trajectory's dedicated stream so results are reproducible independent
-    of scheduling.
+    of scheduling.  The input is never mutated.
     """
     if config is None or config.prob == 0.0:
         return rho
     channel = dephase_qubit if config.kind == MEASUREMENT else depolarize_qubit
     start = 1 if config.exclude_control else 0
-    out = rho.copy()
-    for q in range(start, _member_qubits(rho)):
-        hits = np.asarray(rng.random() < config.prob)
-        if hits.any():
-            out[hits] = channel(out[hits], q)
+    out = rho
+    for q in range(start, densemat.num_qubits(rho)):
+        if rng.random() < config.prob:
+            out = channel(out, q)
     return out

@@ -22,7 +22,6 @@ __all__ = [
     "factor_semiprime",
     "semiprime_list",
     "coprime_list",
-    "shor_factors",
 ]
 
 
@@ -162,20 +161,3 @@ def coprime_list(n: int) -> list[int]:
         raise ValueError("coprime_list requires N >= 3")
     return [a for a in range(2, n) if math.gcd(a, n) == 1]
 
-
-def shor_factors(n: int, a: int) -> tuple[int, int] | None:
-    """Classical post-processing gcd(a**(r/2) +- 1, N); convenience only.
-
-    Returns a nontrivial factor pair when the order is even and the
-    standard construction succeeds, else None.
-    """
-    r = multiplicative_order(a, n)
-    if r % 2:
-        return None
-    half = pow(a, r // 2, n)
-    f1 = math.gcd(half - 1, n)
-    f2 = math.gcd(half + 1, n)
-    for f in (f1, f2):
-        if 1 < f < n:
-            return min(f, n // f), max(f, n // f)
-    return None

@@ -13,9 +13,9 @@ _MARGIN = 60
 _COLORS = ("#1f5fa8", "#c23b22", "#2e8b57", "#8c5fa8", "#b8860b")
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    step = (hi - lo) / 4
+    return [lo + i * step for i in range(5)]
 
 
 def write_line_plot(path, series, xlabel: str, ylabel: str, title: str = "") -> None:

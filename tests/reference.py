@@ -5,7 +5,8 @@ them, through the public gate kernels of `mixshor.circuit`
 (`stage_gates`, `plus_control`, `reprepare_control`) and
 `mixshor.noise.noise_pass`; none uses the block stage of the engines.
 `run_stage_gates` and `measure_control` are the full-state forms that
-the engines' block forms replace.
+the engines' block forms replace.  `sector_distribution` is a closed
+form instead, the oracle of the mixed-control outcome distribution.
 """
 
 import numpy as np
@@ -171,3 +172,41 @@ def reference_stages(inst, kind, cfg, rng, check=lambda rho: None):
 def reference_trajectory(inst, kind, cfg, rng):
     """The outcome c of reference_stages, bit s with weight 2^s."""
     return sum(bit << s for s, (bit, _) in enumerate(reference_stages(inst, kind, cfg, rng)))
+
+
+def sector_distribution(inst, kind, eps):
+    """Outcome distribution over c at control mixing eps, in closed form, one eigenphase at a time.
+
+    A cycle of b -> a b mod N of length r splits into the r eigenvectors
+    of the multiplication, with phases k/r and each with the cycle's
+    mass / r; a b >= N is a fixed point with phase 0.  Given the phase
+    phi, stage s gives bit m_s with probability
+    1/2 [1 + (-1)^m_s (1 - 2 eps) cos 2 pi beta_s], where
+    beta_s = 2^(L-1-s) phi - theta_s(c) and theta_s(c) = (c mod 2^s) / 2^(s+1)
+    is the phase correction, independently of the other stages.  The
+    cycles are walked here, not taken from numtheory, and
+    2^(L-1-s) k is reduced mod r in integers, so beta_s stays within
+    (-1/2, 1) and loses no digits to a large argument.
+    """
+    weights = work_distribution(inst, kind)
+    sectors = [(0, 1, weights[b]) for b in range(inst.N, 1 << inst.n)]
+    seen = set()
+    for start in range(inst.N):
+        if start in seen:
+            continue
+        cycle = [start]
+        while (nxt := inst.a * cycle[-1] % inst.N) != start:
+            cycle.append(nxt)
+        seen.update(cycle)
+        r = len(cycle)
+        sectors += [(k, r, weights[cycle].sum() / r) for k in range(r)]
+    c = np.arange(inst.t)
+    probs = np.zeros(inst.t)
+    for k, r, mass in sectors:
+        p = np.ones(inst.t)
+        for s in range(inst.L):
+            beta = ((k << (inst.L - 1 - s)) % r) / r - (c % (1 << s)) / (2 << s)
+            sign = 1 - 2 * ((c >> s) & 1)
+            p *= 0.5 * (1 + sign * (1 - 2 * eps) * np.cos(2 * np.pi * beta))
+        probs += mass * p
+    return probs

@@ -6,7 +6,6 @@ from mixshor.circuit import (
     ComputerState,
     InitialStateKind,
     build_instance,
-    controlled_modmult_unitary,
     initial_state,
     phase_correction_angle,
     plus_control,
@@ -98,10 +97,20 @@ class TestInitialState:
             assert abs(work_distribution(inst, kind).sum() - 1.0) < 1e-12
 
 
+def modmult_matrix(inst, x):
+    """Permutation matrix of the controlled multiplication by a^(2^x), from its inverse permutation.
+
+    Row i holds its one at column inv[i]: the gather rho[inv][:, inv]
+    that both engines and stage_gates perform is U rho U^dagger.
+    """
+    inv = circuit._modmult_inverse_permutation(inst, x)
+    return np.eye(inv.size, dtype=complex)[inv]
+
+
 class TestControlledModmult:
     def test_maps_one_to_a(self):
         inst = build_instance(15, 2)
-        u = controlled_modmult_unitary(inst, 0)
+        u = modmult_matrix(inst, 0)
         dim_w = 1 << inst.n
         # |1, b=1> -> |1, b=2>; |0, b> untouched
         assert u[dim_w + 2, dim_w + 1] == 1
@@ -112,18 +121,18 @@ class TestControlledModmult:
         # 2^(2^2) = 16 = 1 (mod 15), so x >= 2 gives the identity gate
         inst = build_instance(15, 2)
         for x in (2, 5, 7):
-            assert np.allclose(controlled_modmult_unitary(inst, x), np.eye(32))
+            assert np.allclose(modmult_matrix(inst, x), np.eye(32))
 
     def test_permutation_unitarity(self):
         inst = build_instance(21, 2)
         for x in range(inst.L):
-            u = controlled_modmult_unitary(inst, x)
+            u = modmult_matrix(inst, x)
             assert np.array_equal(u, u.astype(bool).astype(complex))
             assert np.allclose(u @ u.conj().T, np.eye(u.shape[0]))
 
     def test_all_gates_commute(self):
         inst = build_instance(15, 7)
-        gates = [controlled_modmult_unitary(inst, x) for x in range(inst.L)]
+        gates = [modmult_matrix(inst, x) for x in range(inst.L)]
         for i in range(len(gates)):
             for j in range(i + 1, len(gates)):
                 assert np.allclose(gates[i] @ gates[j], gates[j] @ gates[i])
@@ -143,13 +152,13 @@ class TestControlledModmult:
                     expected[:, half : half + N] = 0.0
                     for b in range(N):
                         expected[half + mult * b % N, half + b] = 1.0
-                    assert np.array_equal(controlled_modmult_unitary(inst, x), expected), (N, a, x)
+                    assert np.array_equal(modmult_matrix(inst, x), expected), (N, a, x)
                     count += 1
         assert count == 1304
 
     def test_high_work_values_fixed(self):
         inst = build_instance(15, 2)
-        u = controlled_modmult_unitary(inst, 0)
+        u = modmult_matrix(inst, 0)
         assert u[16 + 15, 16 + 15] == 1
 
 
@@ -395,17 +404,6 @@ class TestClosedFormPreparation:
                 if eps == 0.0:
                     assert np.array_equal(got, expected)
                 assert np.max(np.abs(got - expected)) < 1e-15, (kind, eps)
-
-    def test_stack_reprepares_each_member(self, rng):
-        bits = np.array([0, 1, 1])
-        members = [
-            densemat.kron(np.diag([1.0 - b, float(b)]), random_density_matrix(4, rng)) for b in bits
-        ]
-        stack = ComputerState(rho=np.stack(members), bits=(bits,))
-        got = reprepare_control(stack, 0.1).rho
-        for member, rho, bit in zip(got, members, bits):
-            alone = ComputerState(rho=rho, bits=(int(bit),))
-            assert np.array_equal(member, reprepare_control(alone, 0.1).rho)
 
 
 class TestReprepareControl:

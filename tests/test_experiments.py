@@ -32,6 +32,7 @@ from reference import (
     reference_trajectory,
     reference_tree_steps,
     run_stage_gates,
+    sector_distribution,
 )
 
 PURE = InitialStateKind.PURE
@@ -499,6 +500,34 @@ class TestMixSweep:
         inst = build_instance(15, 2)
         with pytest.raises(ValueError):
             mix_sweep(inst, PURE, [0.7])
+
+
+class TestSectorOracle:
+    # the closed form at control mixing eps > 0: each stage's coherence is
+    # scaled by (1 - 2 eps), so no formula without eps can stand in for it
+    @pytest.mark.parametrize("N, a", [(6, 5), (9, 2), (10, 3), (15, 2), (15, 7)])
+    @pytest.mark.parametrize("kind", [PURE, MIXED_N, MIXED_FULL])
+    def test_tree_leaves_match_closed_form(self, N, a, kind):
+        inst = build_instance(N, a)
+        for eps in (0.1, 0.25, 0.4, 0.5):
+            leaf = tree_profile(inst, kind, eps).leaf_probs
+            assert np.max(np.abs(leaf - sector_distribution(inst, kind, eps))) < 1e-12, eps
+
+    @pytest.mark.parametrize("kind", [PURE, MIXED_N, MIXED_FULL])
+    def test_mix_sweep_success_matches_closed_form(self, kind):
+        inst = build_instance(15, 2)
+        mask = extraction_success_mask(inst)
+        epsilons = [0.0, 0.05, 0.125, 0.2, 0.3, 0.375, 0.45, 0.5]
+        for row in mix_sweep(inst, kind, epsilons):
+            expected = sector_distribution(inst, kind, row.epsilon)[mask].sum()
+            assert abs(row.success_prob - expected) < 1e-12, row.epsilon
+
+    def test_zero_mixing_is_the_oracle(self):
+        for N, a in ((14, 3), (21, 2)):
+            inst = build_instance(N, a)
+            for kind in InitialStateKind:
+                closed = sector_distribution(inst, kind, 0.0)
+                assert np.max(np.abs(closed - reference_distribution(inst, kind))) < 1e-12
 
 
 class TestCrossing:

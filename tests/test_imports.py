@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -14,3 +16,17 @@ def test_import_leaves_scipy_unloaded():
     code = "import sys, mixshor; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_export_lists_name_attributes():
+    # every name in the package's __all__ and in each submodule's __all__
+    # must exist there: an entry left behind by a deletion breaks
+    # `from module import *` and misstates the API
+    modules = [mixshor] + [
+        importlib.import_module(f"mixshor.{info.name}") for info in pkgutil.iter_modules(mixshor.__path__)
+    ]
+    assert len(modules) > 1
+    for module in modules:
+        assert module.__all__, module.__name__
+        for name in module.__all__:
+            assert hasattr(module, name), (module.__name__, name)

@@ -187,20 +187,3 @@ class TestNoisePass:
         out = noise_pass(rho, NoiseConfig(PAULI, 0.5), Draws())
         assert np.array_equal(out, depolarize_qubit(rho, 0))
         assert np.array_equal(rho, before)
-
-    def test_stack_hits_only_members_below_prob(self, rng):
-        # one draw per member per qubit: members whose draw falls below p
-        # get the channel, the others are left as they were
-        stack = random_states(2, 3, rng)
-        before = stack.copy()
-        draws = iter([np.array([0.1, 0.9, 0.4]), np.array([0.9, 0.2, 0.6])])
-
-        class Columns:
-            def random(self):
-                return next(draws)
-
-        out = noise_pass(stack, NoiseConfig(PAULI, 0.5), Columns())
-        assert np.array_equal(out[0], depolarize_qubit(stack[0], 0))
-        assert np.array_equal(out[1], depolarize_qubit(stack[1], 1))
-        assert np.array_equal(out[2], depolarize_qubit(stack[2], 0))
-        assert np.array_equal(stack, before)

@@ -150,9 +150,3 @@ class TestEnumerations:
         assert numtheory.factor_semiprime(15) == (3, 5)
         assert numtheory.factor_semiprime(25) == (5, 5)
         assert numtheory.factor_semiprime(12) is None
-
-    def test_shor_factors_convenience(self):
-        assert numtheory.shor_factors(15, 2) == (3, 5)
-        assert numtheory.shor_factors(21, 2) == (3, 7)
-        # odd order gives no factors by this construction
-        assert numtheory.shor_factors(21, 4) is None
