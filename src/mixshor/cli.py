@@ -9,6 +9,7 @@ seed) produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -132,9 +133,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, header, rows, series, xlabel, ylabel, title) -> int:
-    """Write `rows` as CSV to --out and, with --emit-plot, `series` as an SVG beside it."""
-    write_csv(rows, header, args.out)
+def _emit(args, rows, series, xlabel, ylabel, title) -> int:
+    """Write dataclass `rows`, one column per field, as CSV to --out and, with
+    --emit-plot, `series` as an SVG beside it.
+    """
+    header = [field.name for field in dataclasses.fields(rows[0])]
+    write_csv([dataclasses.astuple(row) for row in rows], header, args.out)
     if args.emit_plot:
         svgplot.write_line_plot(
             _plot_path(args.out), series, xlabel=xlabel, ylabel=ylabel, title=title
@@ -148,9 +152,7 @@ def _emit_stage_reports(args, reports, title) -> int:
         "avg_logneg": (idx, [r.avg_logneg for r in reports]),
         "mixedness": (idx, [r.mixedness for r in reports]),
     }
-    rows = [(r.stage, r.kind, r.avg_logneg, r.mixedness) for r in reports]
-    header = ["stage", "kind", "avg_logneg", "mixedness"]
-    return _emit(args, header, rows, series, "sampling point", "value", title)
+    return _emit(args, reports, series, "sampling point", "value", title)
 
 
 def _cmd_profile(args) -> int:
@@ -171,10 +173,8 @@ def _cmd_noise(args) -> int:
         exclude_control=args.exclude_control, seed=args.seed,
     )
     series = {"success rate": ([r.prob for r in sweep], [r.rate for r in sweep])}
-    rows = [(r.prob, r.successes, r.runs, r.rate) for r in sweep]
-    header = ["prob", "successes", "runs", "rate"]
     title = f"N={args.n} a={args.a} {args.noise} noise"
-    return _emit(args, header, rows, series, "noise probability", "success rate", title)
+    return _emit(args, sweep, series, "noise probability", "success rate", title)
 
 
 def _cmd_mix(args) -> int:
@@ -185,10 +185,8 @@ def _cmd_mix(args) -> int:
         "success_prob": (epsilons, [r.success_prob for r in sweep]),
         "avg_entanglement": (epsilons, [r.avg_entanglement for r in sweep]),
     }
-    rows = [(r.epsilon, r.success_prob, r.avg_entanglement) for r in sweep]
-    header = ["epsilon", "success_prob", "avg_entanglement"]
     title = f"N={args.n} a={args.a} kind={args.kind}"
-    return _emit(args, header, rows, series, "epsilon", "value", title)
+    return _emit(args, sweep, series, "epsilon", "value", title)
 
 
 def _cmd_baseline(args) -> int:

@@ -94,23 +94,6 @@ def _chunk_size(side: int) -> int:
     return max(1, CHUNK_BYTES // (16 * side * side))
 
 
-def _point_entanglement(states: np.ndarray, post_measure: bool) -> np.ndarray:
-    """Average log-negativity over all canonical bipartitions, per stack member.
-
-    A post-measure state is exactly |b><b| (x) sigma on the control and is
-    given by its work block sigma: every split reduces to a split of the
-    work register, the full-work split contributes zero and the remaining
-    splits come in complement pairs with equal negativity, which lets the
-    whole average be computed on the 2^n-dimensional work block.
-    """
-    if not post_measure:
-        return entanglement.average_log_negativity(states)
-    n = states.shape[-1].bit_length() - 1
-    count_m = (1 << n) - 1
-    count_n = (1 << (n - 1)) - 1
-    return 2.0 * count_n * entanglement.average_log_negativity(states) / count_m
-
-
 def _tree_steps(inst: ShorInstance, kind: InitialStateKind, epsilon: float):
     """Step every live branch of the measurement tree through the L stages.
 
@@ -176,7 +159,7 @@ def tree_profile(inst: ShorInstance, kind: InitialStateKind, epsilon: float = 0.
     h2 = _shannon_entropy(np.array([epsilon, 1.0 - epsilon]))
     for point, probs, states, c in _tree_steps(inst, kind, epsilon):
         post_measure = point % 2 == 1
-        e_av[point] += probs @ _point_entanglement(states, post_measure)
+        e_av[point] += probs @ entanglement._point_entanglement(states, post_measure)
         if post_measure:
             s_av[point] += probs @ entanglement.mixedness(states)
         else:
@@ -501,7 +484,7 @@ def _average_entanglement(
     points = 2 * inst.L
     running = 0.0
     for point, probs, states, _ in _tree_steps(inst, kind, epsilon):
-        running += probs @ _point_entanglement(states, point % 2 == 1)
+        running += probs @ entanglement._point_entanglement(states, point % 2 == 1)
         if stop_above is not None and running / points >= stop_above:
             return running / points
     return running / points
@@ -521,8 +504,12 @@ def find_entanglement_crossing(
     found by bisection over the grid index, which matches the linear scan
     because the entanglement profile decreases monotonically in epsilon;
     the bracketing invariant (above threshold on the left, below on the
-    right) is maintained throughout.
+    right) is maintained throughout.  Both tolerances must be finite and
+    positive; the refinement also stops at float resolution.
     """
+    for name, value in (("threshold", threshold), ("refine_tol", refine_tol)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
 
     def avg_ent(eps: float) -> float:
         return _average_entanglement(inst, kind, eps, stop_above=threshold)
@@ -541,10 +528,11 @@ def find_entanglement_crossing(
         else:
             lo = mid
     lo_eps, hi_eps = lo * grid_step, hi * grid_step
-    while hi_eps - lo_eps > refine_tol:
-        mid = 0.5 * (lo_eps + hi_eps)
+    mid = 0.5 * (lo_eps + hi_eps)
+    while hi_eps - lo_eps > refine_tol and lo_eps < mid < hi_eps:
         if avg_ent(mid) < threshold:
             hi_eps = mid
         else:
             lo_eps = mid
+        mid = 0.5 * (lo_eps + hi_eps)
     return hi_eps

@@ -14,6 +14,7 @@ from mixshor.circuit import (
     sample_control,
     work_distribution,
 )
+from mixshor.entanglement import mixedness
 from mixshor.numtheory import coprime_list, is_prime
 
 from conftest import bell_state, random_density_matrix
@@ -71,19 +72,19 @@ class TestInitialState:
         inst = build_instance(15, 2)
         state = initial_state(inst, PURE)
         assert state.stage == 0 and state.bits == ()
-        assert densemat.von_neumann_entropy(state.rho) < 1e-9
+        assert mixedness(state.rho) < 1e-9
         work = densemat.partial_trace(state.rho, {0})
         assert abs(work[1, 1] - 1.0) < 1e-12
 
     def test_mixed_n_entropy(self):
         inst = build_instance(15, 2)
         work = densemat.partial_trace(initial_state(inst, MIXED_N).rho, {0})
-        assert abs(densemat.von_neumann_entropy(work) - np.log2(15)) < 1e-9
+        assert abs(mixedness(work) - np.log2(15)) < 1e-9
 
     def test_mixed_full_entropy(self):
         inst = build_instance(15, 2)
         work = densemat.partial_trace(initial_state(inst, MIXED_FULL).rho, {0})
-        assert abs(densemat.von_neumann_entropy(work) - 4.0) < 1e-9
+        assert abs(mixedness(work) - 4.0) < 1e-9
 
     def test_control_is_plus(self):
         inst = build_instance(15, 2)

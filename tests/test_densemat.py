@@ -15,8 +15,8 @@ from mixshor.densemat import (
     partial_trace,
     partial_transpose,
     trace_norm_hermitian,
-    von_neumann_entropy,
 )
+from mixshor.entanglement import mixedness
 
 from conftest import basis_density, bell_state, ghz_state, haar_unitary, random_density_matrix
 
@@ -271,20 +271,20 @@ class TestTraceNorm:
 
 class TestEntropy:
     def test_pure_state_zero(self, rng):
-        assert von_neumann_entropy(random_density_matrix(8, rng, rank=1)) < 1e-9
+        assert mixedness(random_density_matrix(8, rng, rank=1)) < 1e-9
 
     def test_maximally_mixed_two_qubits(self):
-        assert abs(von_neumann_entropy(np.eye(4, dtype=complex) / 4) - 2.0) < 1e-12
+        assert abs(mixedness(np.eye(4, dtype=complex) / 4) - 2.0) < 1e-12
 
     def test_closed_form_qubit(self):
         rho = np.diag([0.75, 0.25]).astype(complex)
         expected = -0.75 * np.log2(0.75) - 0.25 * np.log2(0.25)
-        assert abs(von_neumann_entropy(rho) - expected) < 1e-12
+        assert abs(mixedness(rho) - expected) < 1e-12
         assert abs(expected - 0.811278) < 1e-6
 
     def test_range(self, rng):
         for _ in range(10):
-            s = von_neumann_entropy(random_density_matrix(8, rng))
+            s = mixedness(random_density_matrix(8, rng))
             assert 0.0 <= s <= 3.0 + 1e-12
 
 

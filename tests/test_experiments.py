@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mixshor import circuit, densemat, experiments
+from mixshor import circuit, densemat, entanglement, experiments
 from mixshor.circuit import InitialStateKind, build_instance, initial_state, reference_distribution
 from mixshor.entanglement import (
     CLAMP_TOL,
@@ -160,7 +160,7 @@ class TestTreeProfile:
             assert branch is not None
             block = slice(bit * half, (bit + 1) * half)
             sigma = branch.rho[block, block]
-            fast_e = experiments._point_entanglement(sigma[None], post_measure=True)[0]
+            fast_e = entanglement._point_entanglement(sigma[None], post_measure=True)[0]
             full_e = average_log_negativity(branch.rho)
             assert abs(fast_e - full_e) < 1e-12
             fast_s = mixedness(sigma)
@@ -546,6 +546,29 @@ class TestCrossing:
         above = experiments._average_entanglement(inst, MIXED_FULL, min(x + 0.02, 0.5))
         assert below >= 1e-10
         assert above < 1e-10 or x >= 0.5 - 1e-3
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"refine_tol": v} for v in (0.0, -1e-3, np.nan, np.inf)]
+        + [{"threshold": v} for v in (0.0, np.nan, np.inf)],
+    )
+    def test_bad_tolerance_rejected_before_any_tree(self, bad, monkeypatch):
+        # a zero tolerance bisects forever, nan skips the refinement and an
+        # infinite threshold reads every point as vanished
+        def no_trees(*args, **kwargs):
+            raise AssertionError("a tree was run before the tolerances were checked")
+
+        monkeypatch.setattr(experiments, "_average_entanglement", no_trees)
+        with pytest.raises(ValueError, match="finite and positive"):
+            find_entanglement_crossing(build_instance(10, 3), MIXED_FULL, **bad)
+
+    def test_refinement_stops_at_float_resolution(self):
+        # a tolerance below the spacing of floats near the crossing ends
+        # the bisection once the midpoint is an endpoint
+        inst = build_instance(10, 3)
+        x = find_entanglement_crossing(inst, MIXED_FULL, refine_tol=1e-300)
+        assert experiments._average_entanglement(inst, MIXED_FULL, x) < 1e-10
+        assert experiments._average_entanglement(inst, MIXED_FULL, np.nextafter(x, 0.0)) >= 1e-10
 
 
 def inverse_pairs(n):
