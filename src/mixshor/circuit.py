@@ -326,13 +326,14 @@ def sample_control(block0: np.ndarray, block1: np.ndarray, draws: np.ndarray):
     rules of _outcomes: a dead outcome (probability below
     DEAD_BRANCH_TOL) is never chosen, and a state whose outcomes are both
     dead raises.  Returns the outcome bits and the kept blocks, each
-    divided by its own probability: the stack of sigma in
-    |bit><bit| (x) sigma.
+    multiplied by the reciprocal of its own probability: the stack of
+    sigma in |bit><bit| (x) sigma.
     """
     p0, p1, dead0, dead1 = _outcomes(block0, block1)
     bits = np.where(dead1 | (~dead0 & (draws < p0)), 0, 1)
     kept = np.where(bits[:, None, None] == 0, block0, block1)
-    kept /= np.where(bits, p1, p0)[:, None, None]
+    parts = kept.view(float)  # real and imaginary parts: one real multiply each
+    parts *= (1.0 / np.where(bits, p1, p0))[:, None, None]
     return bits, kept
 
 

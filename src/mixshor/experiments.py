@@ -44,7 +44,8 @@ __all__ = [
 
 # Byte budget of the largest stacked complex array a stepper holds: the
 # tree's (B, d, d) states get B = 32/8/2 at d = 16/32/64, Monte Carlo's
-# (B, d/2, d/2) control blocks B = 128/32/8.
+# (B, d/2, d/2) control blocks B = 128/32/8.  Monte Carlo also draws its
+# uniforms in stretches of whole chunks of at most this many bytes.
 CHUNK_BYTES = 1 << 17
 
 _POINT_KINDS = ("post_gate", "post_measure")
@@ -252,15 +253,50 @@ def ensemble_profile(bits: int, kind: InitialStateKind) -> list[StageReport]:
     return out
 
 
-def _run_rng(seed: int, run: int):
-    """Dedicated counter-based stream for one trajectory.
+# Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,
+# 3", SC'11): the multipliers of the counter words v0 and v2, the Weyl
+# increments of the two key words, and the 32-bit halves the 64 x 64 ->
+# 128-bit products are formed from.
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
+_LOW, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LOW, _PHILOX_M >> _HALF
 
-    Streams are keyed by (seed, run), and every draw inside a run happens
-    in fixed circuit order, so sweep results are independent of how runs
-    are scheduled.
+
+def _run_uniforms(seed: int, runs: range, count: int) -> np.ndarray:
+    """The first `count` uniforms of each run's (seed, run) stream, shape (len(runs), count).
+
+    Row i is numpy's Generator(Philox(key=[seed mod 2^64, runs[i]])).random(count),
+    bit for bit, drawn for every run in one array pass: Philox is
+    counter-based, so block j of a run, its words 4j..4j+3, is ten rounds
+    on the counter (j + 1, 0, 0, 0) under the key (seed, run), and word w
+    gives the double (w >> 11) 2^-53.  The counter is kept as the pairs
+    (v0, v2), which a round multiplies, and (v1, v3); every wrapping
+    operation acts on arrays, which wrap silently.  Streams are keyed by
+    (seed, run), and every draw inside a run happens in fixed circuit
+    order, so sweep results are independent of how runs are scheduled.
     """
-    key = np.array([np.uint64(seed & (2**64 - 1)), np.uint64(run)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    runs = np.asarray(runs, dtype=np.uint64)
+    blocks = -(-count // 4)
+    key = np.empty((2, runs.size, 1), dtype=np.uint64)
+    key[0], key[1, :, 0] = seed & (2**64 - 1), runs
+    even = np.zeros((2, runs.size, blocks), dtype=np.uint64)
+    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    odd = np.zeros_like(even)
+    for _ in range(10):
+        low, high = even & _LOW, even >> _HALF
+        cross = _PHILOX_M_LO * high + ((_PHILOX_M_LO * low) >> _HALF)
+        low *= _PHILOX_M_HI
+        low += cross & _LOW
+        high *= _PHILOX_M_HI
+        high += (cross >> _HALF) + (low >> _HALF)  # the high words of the products
+        even *= _PHILOX_M  # their low words
+        high = high[::-1] ^ odd
+        high ^= key
+        even, odd = high, even[::-1]
+        key += _PHILOX_W
+    words = np.stack((even[0], odd[0], even[1], odd[1]), axis=-1).reshape(runs.size, 4 * blocks)
+    return (words[:, :count] >> np.uint64(11)) * 2.0**-53
 
 
 def _draws_per_run(inst: ShorInstance, cfg: NoiseConfig | None) -> int:
@@ -380,19 +416,24 @@ def _sweep_outcomes(
     """Outcomes of runs 0..runs-1 at every configuration, shape (len(configs), runs).
 
     Runs are stepped in chunks of CHUNK_BYTES per stack of control
-    blocks.  Each chunk's streams are drawn once, as long as the
-    hungriest configuration needs; one that needs fewer draws, such as a
-    noiseless one, reads the leading columns, which are the draws its own
-    shorter stream would give.
+    blocks.  The streams are drawn once for the whole grid, as long as
+    the hungriest configuration needs, in stretches of whole chunks
+    holding at most CHUNK_BYTES of uniforms (at least one chunk); one
+    that needs fewer draws, such as a noiseless one, reads the leading
+    columns, which are the draws its own shorter stream would give.
     """
     chunk = _chunk_size(1 << inst.n)
     totals = [_draws_per_run(inst, cfg) for cfg in configs]
+    count = max(totals, default=0)
+    stretch = chunk * max(1, CHUNK_BYTES // (8 * chunk * max(count, 1)))
     outcomes = np.zeros((len(configs), runs), dtype=np.int64)
-    for first in range(0, runs, chunk):
-        part = range(first, min(first + chunk, runs))
-        uniforms = np.stack([_run_rng(seed, run).random(max(totals, default=0)) for run in part])
-        for row, cfg, total in zip(outcomes, configs, totals):
-            row[first : part.stop] = _run_stack(inst, kind, cfg, uniforms[:, :total])
+    for start in range(0, runs, stretch):
+        drawn = _run_uniforms(seed, range(start, min(start + stretch, runs)), count)
+        for first in range(0, len(drawn), chunk):
+            uniforms = drawn[first : first + chunk]
+            part = slice(start + first, start + first + len(uniforms))
+            for row, cfg, total in zip(outcomes, configs, totals):
+                row[part] = _run_stack(inst, kind, cfg, uniforms[:, :total])
     return outcomes
 
 

@@ -70,12 +70,22 @@ def extract_period(c: int, t: int, n: int, a: int) -> int | None:
     Takes the convergent of c/t with the largest denominator k < N and
     accepts it only if a**k = 1 (mod N).  No multiple-of-k repair is
     attempted, so a run succeeds exactly when the returned value equals
-    the true order.
+    the true order.  The denominators of convergents(c, t) follow from
+    the quotients alone, q_j = a_j q_(j-1) + q_(j-2), and never decrease,
+    so they are run in integers up to the first one that reaches N.
     """
+    if t < 1 or not 0 <= c < t:
+        raise ValueError("extract_period requires 0 <= c < t")
     best = None
-    for frac in convergents(c, t):
-        if frac.denominator < n:
-            best = frac.denominator
+    q_prev, q_cur = 1, 0
+    num, den = c, t
+    while den:
+        quotient, rem = divmod(num, den)
+        num, den = den, rem
+        q_prev, q_cur = q_cur, quotient * q_cur + q_prev
+        if q_cur >= n:
+            break
+        best = q_cur
     if best is not None and pow(a, best, n) == 1:
         return best
     return None

@@ -6,7 +6,9 @@ them, through the public gate kernels of `mixshor.circuit`
 `mixshor.noise.noise_pass`; none uses the block stage of the engines.
 `run_stage_gates` and `measure_control` are the full-state forms that
 the engines' block forms replace.  `sector_distribution` is a closed
-form instead, the oracle of the mixed-control outcome distribution.
+form instead, the oracle of the mixed-control outcome distribution, and
+`run_rng` is numpy's generator of a Monte Carlo run's stream, the one
+the vectorized draw of the sweeps must equal.
 """
 
 import numpy as np
@@ -139,6 +141,12 @@ def explicit_tree(inst, kind, epsilon=0.0):
         c = sum(bit << i for i, bit in enumerate(st.bits))
         leaf[c] += np.prod(probs)
     return averages, leaf
+
+
+def run_rng(seed: int, run: int):
+    """numpy's Philox generator of run `run`'s stream, keyed by (seed mod 2^64, run)."""
+    key = np.array([seed & (2**64 - 1), run], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def reference_stages(inst, kind, cfg, rng, check=lambda rho: None):

@@ -31,6 +31,7 @@ from reference import (
     reference_stages,
     reference_trajectory,
     reference_tree_steps,
+    run_rng,
     run_stage_gates,
     sector_distribution,
 )
@@ -346,7 +347,7 @@ class TestMonteCarlo:
     def test_trajectory_returns_valid_outcome(self):
         inst = build_instance(10, 3)
         for run in range(5):
-            c = run_trajectory(inst, MIXED_N, None, experiments._run_rng(1, run))
+            c = run_trajectory(inst, MIXED_N, None, run_rng(1, run))
             assert 0 <= c < inst.t
 
     def test_batched_runs_match_reference_outcome_for_outcome(self):
@@ -361,7 +362,7 @@ class TestMonteCarlo:
                     for prob in (0.0, 0.3, 1.0):
                         for exclude in (False, True):
                             cfg = None if prob == 0.0 else NoiseConfig(channel, prob, exclude)
-                            streams = [experiments._run_rng(seed, run) for run in range(runs)]
+                            streams = [run_rng(seed, run) for run in range(runs)]
                             expected = [reference_trajectory(inst, kind, cfg, r) for r in streams]
                             got = experiments._sweep_outcomes(inst, kind, [cfg], runs, seed)[0]
                             assert list(got) == expected, (N, kind, channel, prob, exclude)
@@ -375,14 +376,14 @@ class TestMonteCarlo:
         cfg = NoiseConfig(PAULI, 0.3)
         runs, seed = 5, 2
         draws = experiments._draws_per_run(inst, cfg)
-        uniforms = np.stack([experiments._run_rng(seed, run).random(draws) for run in range(runs)])
+        uniforms = np.stack([run_rng(seed, run).random(draws) for run in range(runs)])
         got = np.zeros(runs, dtype=np.int64)
         for s, (bit, sigma) in enumerate(experiments._run_steps(inst, MIXED_N, cfg, uniforms)):
             densemat.assert_valid_state(sigma, context=f"stage {s}")
             got += bit << s
         expected = []
         for run in range(runs):
-            rng = experiments._run_rng(seed, run)
+            rng = run_rng(seed, run)
             stages = reference_stages(inst, MIXED_N, cfg, rng, check=densemat.assert_valid_state)
             expected.append(sum(bit << s for s, (bit, _) in enumerate(stages)))
         assert list(got) == expected
@@ -401,11 +402,11 @@ class TestMonteCarlo:
                     for exclude in (False, True):
                         cfg = NoiseConfig(channel, prob, exclude)
                         draws = experiments._draws_per_run(inst, cfg)
-                        streams = [experiments._run_rng(seed, run) for run in range(runs)]
+                        streams = [run_rng(seed, run) for run in range(runs)]
                         uniforms = np.stack([rng.random(draws) for rng in streams])
                         steps = experiments._run_steps(inst, kind, cfg, uniforms)
                         references = [
-                            reference_stages(inst, kind, cfg, experiments._run_rng(seed, run))
+                            reference_stages(inst, kind, cfg, run_rng(seed, run))
                             for run in range(runs)
                         ]
                         for s, (bits, sigma) in enumerate(steps):
@@ -434,7 +435,7 @@ class TestMonteCarlo:
                 for prob in (0.3, 1.0):
                     cfg = NoiseConfig(channel, prob)
                     draws = experiments._draws_per_run(inst, cfg)
-                    streams = [experiments._run_rng(seed, run) for run in range(runs)]
+                    streams = [run_rng(seed, run) for run in range(runs)]
                     alone = [run_stack(inst, kind, cfg, rng.random((1, draws)))[0] for rng in streams]
                     got = experiments._sweep_outcomes(inst, kind, [cfg], runs, seed)[0]
                     assert stacks == [32, 5]
@@ -442,23 +443,42 @@ class TestMonteCarlo:
                     assert list(got) == alone, (kind, channel, prob)
 
     def test_grid_points_share_each_runs_stream(self, monkeypatch):
-        # each chunk's streams are drawn once for the whole grid; every point,
-        # the noiseless ones reading only the leading columns, gets the
-        # outcomes it gets alone
+        # each stretch of whole chunks is drawn once for the whole grid;
+        # every point, the noiseless ones reading only the leading columns,
+        # gets the outcomes it gets alone.  A byte budget of 8 KiB makes
+        # chunks of 2 runs and stretches of 4 chunks at 123 draws a run
         inst = build_instance(15, 2)
         configs = [NoiseConfig(PAULI, 0.3), None, NoiseConfig(PAULI, 0.0), NoiseConfig(PAULI, 1.0)]
         alone = [experiments._sweep_outcomes(inst, PURE, [cfg], 13, 5)[0] for cfg in configs]
-        built = []
-        run_rng = experiments._run_rng
+        drawn = []
+        run_uniforms = experiments._run_uniforms
 
-        def counted(seed, run):
-            built.append(run)
-            return run_rng(seed, run)
+        def counted(seed, runs, count):
+            drawn.append((runs, count))
+            return run_uniforms(seed, runs, count)
 
-        monkeypatch.setattr(experiments, "_run_rng", counted)
-        together = experiments._sweep_outcomes(inst, PURE, configs, 13, 5)
-        assert built == list(range(13))
-        assert np.array_equal(together, alone)
+        monkeypatch.setattr(experiments, "_run_uniforms", counted)
+        for budget, stretches in ((1 << 17, [range(13)]), (1 << 13, [range(8), range(8, 13)])):
+            monkeypatch.setattr(experiments, "CHUNK_BYTES", budget)
+            drawn.clear()
+            together = experiments._sweep_outcomes(inst, PURE, configs, 13, 5)
+            assert drawn == [(runs, 123) for runs in stretches], budget
+            assert np.array_equal(together, alone), budget
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 401, 123456789, -1, 2**63 + 5, 2**64 - 1])
+    def test_run_uniforms_equal_numpy_philox_bit_for_bit(self, seed):
+        # the vectorized draw against numpy's generator of each run, over
+        # run ranges that cross the chunk boundaries of d = 16, 32 and 64
+        # (128, 32 and 8 runs), partial and whole Philox blocks, and a run
+        # index above 2^32
+        for runs in (range(1), range(5, 13), range(30, 35), range(120, 133), range(2**40, 2**40 + 2)):
+            for count in (0, 1, 3, 4, 5, 123, 184):
+                got = experiments._run_uniforms(seed, runs, count)
+                expected = np.zeros((len(runs), count))
+                for row, run in zip(expected, runs):
+                    row[:] = run_rng(seed, run).random(count)
+                assert got.dtype == np.float64 and got.shape == expected.shape
+                assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), (runs, count)
 
     def test_mixed_state_dephasing_is_harmless_for_power_of_two_period(self):
         # with the work register already diagonal and r = 2^m, measurement

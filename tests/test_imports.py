@@ -18,6 +18,23 @@ def test_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_seeded_sweep_leaves_numpy_random_unloaded():
+    # Monte Carlo streams are drawn by the package's own Philox pass, so a
+    # seeded sweep must not pay for loading numpy.random
+    src = os.path.dirname(os.path.dirname(mixshor.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys\n"
+        "from mixshor.circuit import InitialStateKind, build_instance\n"
+        "from mixshor.experiments import monte_carlo_sweep\n"
+        "rows = monte_carlo_sweep(build_instance(15, 2), InitialStateKind.PURE, 'pauli', [0.0, 0.3], 40, False, 7)\n"
+        "assert rows[0].runs == 40\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_export_lists_name_attributes():
     # every name in the package's __all__ and in each submodule's __all__
     # must exist there: an entry left behind by a deletion breaks

@@ -82,6 +82,33 @@ class TestExtractPeriod:
                 assert pow(2, got, 15) == 1
                 assert got % r == 0
 
+    def test_matches_convergent_rule_on_every_outcome(self):
+        # the integer denominators against the rule read off convergents():
+        # the largest denominator below N, accepted when a^k = 1 (mod N),
+        # for every (N, a, c) of the composite N in 6..31 at t = 2^(2n)
+        def convergent_rule(c, t, n, a):
+            best = None
+            for frac in convergents(c, t):
+                if frac.denominator < n:
+                    best = frac.denominator
+            return best if best is not None and pow(a, best, n) == 1 else None
+
+        checked = 0
+        for N in range(6, 32):
+            if len(numtheory.prime_factors(N)) < 2:
+                continue
+            t = 1 << 2 * (N - 1).bit_length()
+            for a in coprime_list(N):
+                for c in range(t):
+                    assert extract_period(c, t, N, a) == convergent_rule(c, t, N, a), (N, a, c)
+                checked += t
+        assert checked == 114432
+
+    def test_outcome_outside_range_rejected(self):
+        for c, t in ((-1, 256), (256, 256), (0, 0)):
+            with pytest.raises(ValueError):
+                extract_period(c, t, 15, 2)
+
 
 class TestPermutationCycles:
     def test_explicit_cycles_for_15(self):
