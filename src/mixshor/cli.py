@@ -23,6 +23,11 @@ __all__ = ["parse_and_run", "write_csv", "main"]
 
 _KINDS = {kind.value: kind for kind in InitialStateKind}
 
+# Range grids: values are rounded to 12 decimals and ends match within
+# that rounding; a range may hold at most _MAX_GRID_POINTS values.
+_GRID_ROUNDING = 1e-12
+_MAX_GRID_POINTS = 10**6
+
 
 def _fmt(value) -> str:
     if isinstance(value, str):
@@ -43,7 +48,10 @@ def write_csv(rows, schema, path) -> None:
 def _parse_values(text: str) -> list[float]:
     """Grid syntax: either 'v1,v2,...' or 'start:stop:step' (ends inclusive).
 
-    Every part must be finite and the grid must not be empty.
+    Every part must be finite and the grid must not be empty.  A range's
+    point count is computed in closed form before any point is: a step
+    below the grid's 1e-12 rounding, or more than _MAX_GRID_POINTS points,
+    is rejected.
     """
     if ":" in text:
         pieces = text.split(":")
@@ -52,11 +60,17 @@ def _parse_values(text: str) -> list[float]:
         start, stop, step = _finite(pieces, text)
         if step <= 0:
             raise ValueError("range step must be positive")
+        if step < _GRID_ROUNDING:
+            raise ValueError(f"range step {step:g} is below the grid rounding {_GRID_ROUNDING:g}")
+        end = stop + _GRID_ROUNDING
+        span = (end - start) / step  # +-inf when the subtraction overflows
+        if span >= _MAX_GRID_POINTS:
+            raise ValueError(f"range {text!r} has more than {_MAX_GRID_POINTS} points")
         values = []
-        i = 0
-        while (v := start + i * step) <= stop + 1e-12:
+        for i in range(math.floor(max(span, 0.0)) + 2):  # one spare point for round-off
+            if (v := start + i * step) > end:
+                break
             values.append(round(v, 12))
-            i += 1
     else:
         values = _finite([p for p in text.split(",") if p], text)
     if not values:

@@ -1,15 +1,15 @@
 """Experiment drivers: exact tree runs, ensembles, noise and mixing sweeps.
 
-The tree runner enumerates every measurement branch with its path
-probability, giving exact stage averages and the exact outcome
-distribution; Monte Carlo trajectories sample measurement results and
-noise events instead.  Both keep each member's work block between
-stages and run a stage on the four control blocks of
-circuit._stage_blocks, in chunks of a fixed byte budget per member of
-the largest stacked array they hold: the tree forms (B, d, d) post-gate
-states, Monte Carlo only the (B, d/2, d/2) blocks.  Monte Carlo run i
-draws only from its own (seed, i) stream, so its outcome does not depend
-on which runs share its chunk.
+The tree runner enumerates one measurement branch of each
+complex-conjugate pair with the pair's path probability, giving exact
+stage averages and the exact outcome distribution; Monte Carlo
+trajectories sample measurement results and noise events instead.  Both
+keep each member's work block between stages and run a stage on the
+four control blocks of circuit._stage_blocks, in chunks of a fixed byte
+budget per member of the largest stacked array they hold: the tree forms
+(B, d, d) post-gate states, Monte Carlo only the (B, d/2, d/2) blocks.
+Monte Carlo run i draws only from its own (seed, i) stream, so its
+outcome does not depend on which runs share its chunk.
 """
 
 from __future__ import annotations
@@ -96,17 +96,33 @@ def _chunk_size(side: int) -> int:
 
 
 def _tree_steps(inst: ShorInstance, kind: InitialStateKind, epsilon: float):
-    """Step every live branch of the measurement tree through the L stages.
+    """Step one branch of each complex-conjugate pair of the measurement tree.
 
     Yields (point, probs, states, c) for each chunk at each of the 2L
     sampling points: point 2s after stage s's gates, with the full states,
     and point 2s + 1 after its measurement, with the work blocks sigma of
     the measured states |bit><bit| (x) sigma.  `probs` are the path
-    probabilities and `c` the outcome bits measured so far, bit s with
-    weight 2^s.  Between stages only the work blocks are kept; each stage
-    runs the gates of a chunk of at most CHUNK_BYTES of full states on
-    its control blocks (circuit.run_stage_gates) and measures it on the
-    two diagonal blocks (circuit.measure_control).
+    probabilities, times 2 for a branch that stands in for its partner,
+    and `c` the outcome bits measured so far, bit s with weight 2^s.
+    Between stages only the work blocks are kept; each stage runs the
+    gates of a chunk of at most CHUNK_BYTES of full states on its control
+    blocks (circuit.run_stage_gates) and measures it on the two diagonal
+    blocks (circuit.measure_control).
+
+    Every gate and preparation is real except the phase diag(1,
+    exp(-2 pi i theta_s(c))), and theta_s(-c) = 1/2 - theta_s(c) for
+    c != 0 mod 2^s: the record -c mod 2^s turns its control by Z times
+    the conjugate of c's phase, and after the Hadamard (H Z = X H) its
+    state is X conj(rho_c) X.  Its outcome m is c's outcome 1 - m, with
+    the same probability and the conjugate work block, and the kid of c
+    with bit m is the partner of the kid of -c with bit 1 - m.  Negativity
+    and entropy are blind to conjugation and to a local X, so each pair
+    needs one branch.  The record 2^(s-1) is its own partner and its two
+    kids are each other's: only its bit-0 kid is kept, with twice the
+    path probability.  Every other branch keeps both kids, so a stage
+    holds 2^(s-1) + 1 branches instead of 2^s.  The fold follows from the
+    circuit, not from comparing states, which differ from their partners'
+    conjugates by round-off.
     """
     chunk = _chunk_size(1 << inst.m)
     half = 1 << inst.n
@@ -115,6 +131,7 @@ def _tree_steps(inst: ShorInstance, kind: InitialStateKind, epsilon: float):
     c = np.zeros(1, dtype=np.int64)
     for s in range(inst.L):
         grown, total = [], 0.0
+        twin = 1 << s >> 1 if s else -1  # the record that is its own partner; none at stage 0
         for lo in range(0, probs.size, chunk):
             part = slice(lo, lo + chunk)
             chunk_probs, chunk_c = probs[part], c[part]
@@ -125,7 +142,13 @@ def _tree_steps(inst: ShorInstance, kind: InitialStateKind, epsilon: float):
             for bit, (p, kept) in enumerate(branches):
                 if kept is not None:
                     live = p >= circuit.DEAD_BRANCH_TOL
-                    kids.append((kept, chunk_probs[live] * p[live], chunk_c[live] | bit << s))
+                    kid_probs, kid_c = chunk_probs[live] * p[live], chunk_c[live]
+                    folded = kid_c == twin
+                    if bit == 0:
+                        kid_probs[folded] *= 2.0
+                    elif folded.any():
+                        kept, kid_probs, kid_c = kept[~folded], kid_probs[~folded], kid_c[~folded]
+                    kids.append((kept, kid_probs, kid_c | bit << s))
             kid_sigma, kid_probs, kid_c = (np.concatenate(x) for x in zip(*kids))
             yield 2 * s + 1, kid_probs, kid_sigma, kid_c
             total += kid_probs.sum()
@@ -148,6 +171,9 @@ def tree_profile(inst: ShorInstance, kind: InitialStateKind, epsilon: float = 0.
 
     Returns the 2L stage reports (after each controlled multiplication
     and after each measurement) plus the exact leaf distribution over c.
+    The branches are those of _tree_steps, one per complex-conjugate
+    pair with the pair's path mass, so the averages are those of the
+    whole tree, and each leaf is spread over c and -c mod t.
     Only the post-measure mixedness takes eigensolves: the gates are
     unitary and the re-prepared control is independent of the work
     register, so the mixedness after stage s's gates is the report
@@ -166,7 +192,7 @@ def tree_profile(inst: ShorInstance, kind: InitialStateKind, epsilon: float = 0.
         else:
             s_av[point] += h2 * probs.sum()
         if point == points - 1:
-            leaf += np.bincount(c, probs, inst.t)
+            leaf += _spread_leaves(c, probs, inst.t)
     s_av[0] += _shannon_entropy(circuit.work_distribution(inst, kind))
     s_av[2::2] += s_av[1:-1:2]
     s_av[s_av < entanglement.CLAMP_TOL] = 0.0  # round-off, as in mixedness
@@ -186,13 +212,26 @@ def tree_leaf_distribution(inst: ShorInstance, kind: InitialStateKind) -> np.nda
     """Exact outcome distribution over c from branch enumeration only.
 
     Skips the per-stage entanglement bookkeeping of tree_profile; used for
-    oracle comparisons where only the leaf probabilities matter.
+    oracle comparisons where only the leaf probabilities matter.  Like
+    tree_profile, it steps one branch per conjugate pair and spreads each
+    leaf over c and -c mod t.
     """
     leaf = np.zeros(inst.t)
     for point, probs, _, c in _tree_steps(inst, kind, 0.0):
         if point == 2 * inst.L - 1:
-            leaf += np.bincount(c, probs, inst.t)
+            leaf += _spread_leaves(c, probs, inst.t)
     return leaf
+
+
+def _spread_leaves(c: np.ndarray, probs: np.ndarray, t: int) -> np.ndarray:
+    """The outcome distribution over [0, t) of the kept leaves of _tree_steps.
+
+    Each leaf puts half its mass on c and half on its partner -c mod t; a
+    self-conjugate leaf (c = 0 or t/2) puts both halves on itself.
+    Halving is exact, so every kept leaf reads its own path probability.
+    """
+    half = 0.5 * probs
+    return np.bincount(c, half, t) + np.bincount(-c % t, half, t)
 
 
 def ensemble_instances(bits: int) -> list[ShorInstance]:

@@ -4,7 +4,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from mixshor import experiments
+from mixshor import cli, experiments
 from mixshor.cli import _fmt, _parse_values, parse_and_run, write_csv
 
 
@@ -66,6 +66,27 @@ class TestParseValues:
     def test_empty_grid_rejected(self, text):
         with pytest.raises(ValueError, match="empty"):
             _parse_values(text)
+
+    @pytest.mark.parametrize("text", ["0:0.5:1e-300", "0:1:9e-13", "1e300:1e300:5e-324"])
+    def test_step_below_rounding_rejected(self, text):
+        # 0:0.5:1e-300 used to enumerate point by point and never return
+        with pytest.raises(ValueError, match="below the grid rounding"):
+            _parse_values(text)
+
+    @pytest.mark.parametrize("text", ["0:1e300:1", "-1e308:1e308:1", "0:1:0.000001", "0:1:1e-12"])
+    def test_oversized_range_rejected(self, text):
+        # counted in closed form: 0:1:0.000001 has 1_000_001 points
+        with pytest.raises(ValueError, match="more than 1000000 points"):
+            _parse_values(text)
+
+    def test_point_limit_is_inclusive(self, monkeypatch):
+        # the same closed-form count as at 10^6 points, at a cheaper limit
+        monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 1000)
+        values = _parse_values("0:0.999:0.001")
+        assert len(values) == 1000
+        assert values[-1] == 0.999
+        with pytest.raises(ValueError, match="more than 1000 points"):
+            _parse_values("0:1:0.001")
 
 
 class TestWriteCsv:
@@ -270,6 +291,17 @@ class TestValidation:
         )
         assert code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["0:0.5:1e-300", "0:1e300:1"])
+    @pytest.mark.parametrize("command, flag", [("mix", "--epsilons"), ("noise", "--probs")])
+    def test_oversized_grid_exits_2_at_once(self, command, flag, grid, tmp_path, capsys):
+        # both used to hang in the grid parser; now rejected before computing
+        out = tmp_path / "x.csv"
+        extra = ["--noise", "pauli", "--runs", "5"] if command == "noise" else []
+        code = run_cli(command, "--n", "15", "--a", "2", *extra, flag, grid, "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+        assert "error: range" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
     def test_bad_oracle_tolerance_exits_2(self, tol, monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,20 @@ from reference import (
 PURE = InitialStateKind.PURE
 MIXED_N = InitialStateKind.MIXED_N
 MIXED_FULL = InitialStateKind.MIXED_FULL
+
+
+def _points(steps):
+    """(point, {record: (probability, state)}) per sampling point of a tree stepper.
+
+    A stepper yields each chunk's two points of a stage in turn, so the
+    chunks are gathered per stage.
+    """
+    for stage, chunks in itertools.groupby(steps, key=lambda step: step[0] // 2):
+        records = ({}, {})
+        for point, probs, states, c in chunks:
+            records[point % 2].update((int(r), (p, x)) for r, p, x in zip(c, probs, states))
+        yield 2 * stage, records[0]
+        yield 2 * stage + 1, records[1]
 
 
 class TestTreeProfile:
@@ -84,22 +100,50 @@ class TestTreeProfile:
     @pytest.mark.parametrize("N, a", [(6, 5), (9, 2), (15, 2), (21, 2)])
     def test_tree_steps_equal_full_state_walk(self, N, a):
         # the block stage against plus_control, the full-state gates and
-        # the full-state collapse, chunk by chunk at every sampling point:
-        # path probabilities, states and outcome bits equal bitwise
+        # the full-state collapse of the unfolded walk, record by record at
+        # every sampling point: a kept branch has the walk's state bitwise
+        # and exactly its path probability times 1 (self-conjugate) or 2,
+        # and every record the fold drops is the conjugate of its kept
+        # partner, X conj(rho) X with X on the control after the gates.
+        # Work count: after stage s's measurement the fold keeps exactly
+        # the walk's live records r with r = 0 or bit lowbit(r) + 1 of r
+        # clear, 2^s + 1 of them when no branch has died
         inst = build_instance(N, a)
         chunk = experiments._chunk_size(1 << inst.m)
+        half = 1 << inst.n
+
+        def kept(r):
+            return r == 0 or not r >> (r & -r).bit_length() & 1
         for kind in (PURE, MIXED_N, MIXED_FULL):
             for eps in (0.0, 0.25):
-                steps = experiments._tree_steps(inst, kind, eps)
-                reference = reference_tree_steps(inst, kind, eps, chunk)
+                steps = _points(experiments._tree_steps(inst, kind, eps))
+                reference = _points(reference_tree_steps(inst, kind, eps, chunk))
                 count = 0
-                for got, expected in zip(steps, reference, strict=True):
-                    where = (kind, eps, got[0])
-                    assert got[0] == expected[0], where
-                    for x, y in zip(got[1:], expected[1:]):
-                        assert np.array_equal(x, y), where
+                for (point, got), (ref_point, expected) in zip(steps, reference, strict=True):
+                    where = (kind, eps, point)
+                    assert point == ref_point == count, where
+                    bits = point // 2 + point % 2  # outcome bits the records carry
+                    if point % 2:
+                        assert sorted(got) == [r for r in sorted(expected) if kept(r)], where
+                        if len(expected) == 1 << bits:
+                            assert len(got) == (1 << bits - 1) + 1, where
+                    for r, (p, state) in got.items():
+                        partner = -r % (1 << bits)
+                        ref_p, ref_state = expected[r]
+                        assert np.array_equal(state, ref_state), (where, r)
+                        assert p == (1.0 if partner == r else 2.0) * ref_p, (where, r)
+                        assert partner == r or partner in expected, (where, r)
+                    for r, (ref_p, ref_state) in expected.items():
+                        if r in got:
+                            continue
+                        partner = -r % (1 << bits)
+                        mirror = got[partner][1].conj()
+                        if point % 2 == 0:
+                            mirror = np.roll(mirror, (half, half), axis=(0, 1))
+                        assert np.max(np.abs(ref_state - mirror)) * ref_p <= 1e-15, (where, r)
+                        assert abs(ref_p - expected[partner][0]) <= 1e-15, (where, r)
                     count += 1
-                assert count >= 2 * inst.L
+                assert count == 2 * inst.L
 
     def test_initial_mixedness_for_mixed_kind(self):
         inst = build_instance(15, 2)
