@@ -288,33 +288,45 @@ def _outcomes(block0: np.ndarray, block1: np.ndarray):
     """p0 and p1 of the control with the dead-branch rule, for one state or a stack.
 
     `block0` and `block1` are the (0, 0) and (1, 1) work blocks of the
-    control, whose traces are p0 and p1.  An outcome with probability
-    below DEAD_BRANCH_TOL is dead; a state whose outcomes are both dead
-    raises.  Returns p0, p1, dead0, dead1.
+    control, whose traces are p0 and p1.  An outcome is live unless its
+    probability is below DEAD_BRANCH_TOL; a state with neither outcome
+    live raises.  Returns p0, p1, live0, live1.
     """
     p0, p1 = (np.real(np.diagonal(b, axis1=-2, axis2=-1)).sum(axis=-1) for b in (block0, block1))
-    dead0, dead1 = p0 < DEAD_BRANCH_TOL, p1 < DEAD_BRANCH_TOL
-    if np.any(dead0 & dead1):
+    live0, live1 = ~(p0 < DEAD_BRANCH_TOL), ~(p1 < DEAD_BRANCH_TOL)
+    if not np.all(live0 | live1):
         raise ValueError("both measurement outcomes have zero probability")
-    return p0, p1, dead0, dead1
+    return p0, p1, live0, live1
+
+
+def _normalize(kept: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Divide each kept (B, d/2, d/2) block by its probability, in place; returns `kept`.
+
+    One real multiply by 1/p per real and imaginary part.  numpy divides
+    a complex by a real as a product with 1/p, so the values are those of
+    kept / p[:, None, None] bit for bit, but for the sign of a zero.
+    """
+    parts = kept.view(float)
+    parts *= (1.0 / p)[:, None, None]
+    return kept
 
 
 def measure_control(block0: np.ndarray, block1: np.ndarray):
     """Projective measurement of the control of every state of a stack, from its diagonal blocks.
 
     The counterpart of sample_control that keeps both outcomes, by the
-    same rules.  Returns ((p0, kept0), (p1, kept1)): every member's
-    probabilities, and in member order the blocks divided by their
-    probabilities (sigma in |bit><bit| (x) sigma) of the members for
-    which that outcome is alive, or None when it is dead for all.
+    same rules.  Returns ((p0, branch0), (p1, branch1)): every member's
+    probabilities, and for each outcome None when it is dead for every
+    member, else (live, kept): the members' live mask and, in member
+    order, the normalized blocks (sigma in |bit><bit| (x) sigma) of the
+    live members.
     """
-    p0, p1, dead0, dead1 = _outcomes(block0, block1)
+    p0, p1, live0, live1 = _outcomes(block0, block1)
 
-    def kept(block, p, dead):
-        live = ~dead
-        return block[live] / p[live][:, None, None] if live.any() else None
+    def branch(block, p, live):
+        return (live, _normalize(block[live], p[live])) if live.any() else None
 
-    return (p0, kept(block0, p0, dead0)), (p1, kept(block1, p1, dead1))
+    return (p0, branch(block0, p0, live0)), (p1, branch(block1, p1, live1))
 
 
 def sample_control(block0: np.ndarray, block1: np.ndarray, draws: np.ndarray):
@@ -323,18 +335,15 @@ def sample_control(block0: np.ndarray, block1: np.ndarray, draws: np.ndarray):
     `block0` and `block1` are the (B, d/2, d/2) stacks of the (0, 0) and
     (1, 1) work blocks of the control: nothing else of a state enters
     its measurement.  Run i takes outcome 0 when draws[i] < p0, by the
-    rules of _outcomes: a dead outcome (probability below
-    DEAD_BRANCH_TOL) is never chosen, and a state whose outcomes are both
-    dead raises.  Returns the outcome bits and the kept blocks, each
-    multiplied by the reciprocal of its own probability: the stack of
-    sigma in |bit><bit| (x) sigma.
+    rules of _outcomes: a dead outcome is never chosen, and a state with
+    neither outcome live raises.  Returns the outcome bits and the kept
+    blocks, normalized as by measure_control: the stack of sigma in
+    |bit><bit| (x) sigma.
     """
-    p0, p1, dead0, dead1 = _outcomes(block0, block1)
-    bits = np.where(dead1 | (~dead0 & (draws < p0)), 0, 1)
+    p0, p1, live0, live1 = _outcomes(block0, block1)
+    bits = np.where(~live1 | (live0 & (draws < p0)), 0, 1)
     kept = np.where(bits[:, None, None] == 0, block0, block1)
-    parts = kept.view(float)  # real and imaginary parts: one real multiply each
-    parts *= (1.0 / np.where(bits, p1, p0))[:, None, None]
-    return bits, kept
+    return bits, _normalize(kept, np.where(bits, p1, p0))
 
 
 def reprepare_control(state: ComputerState, epsilon: float = 0.0) -> ComputerState:

@@ -107,7 +107,8 @@ def _tree_steps(inst: ShorInstance, kind: InitialStateKind, epsilon: float):
     Between stages only the work blocks are kept; each stage runs the
     gates of a chunk of at most CHUNK_BYTES of full states on its control
     blocks (circuit.run_stage_gates) and measures it on the two diagonal
-    blocks (circuit.measure_control).
+    blocks (circuit.measure_control), whose live masks pair each
+    outcome's surviving kids with their path probabilities and records.
 
     Every gate and preparation is real except the phase diag(1,
     exp(-2 pi i theta_s(c))), and theta_s(-c) = 1/2 - theta_s(c) for
@@ -139,9 +140,9 @@ def _tree_steps(inst: ShorInstance, kind: InitialStateKind, epsilon: float):
             yield 2 * s, chunk_probs, rho, chunk_c
             kids = []
             branches = circuit.measure_control(rho[:, :half, :half], rho[:, half:, half:])
-            for bit, (p, kept) in enumerate(branches):
-                if kept is not None:
-                    live = p >= circuit.DEAD_BRANCH_TOL
+            for bit, (p, branch) in enumerate(branches):
+                if branch is not None:
+                    live, kept = branch
                     kid_probs, kid_c = chunk_probs[live] * p[live], chunk_c[live]
                     folded = kid_c == twin
                     if bit == 0:
@@ -417,32 +418,19 @@ def _control_channel(kind: str, hit: np.ndarray, diagonal, off_diagonal) -> None
         upper[hit] = lower[hit] = (upper[hit] + lower[hit]) * 0.5
 
 
-def _run_stack(
+def run_trajectory(
     inst: ShorInstance,
     kind: InitialStateKind,
     cfg: NoiseConfig | None,
     uniforms: np.ndarray,
 ) -> np.ndarray:
-    """Each run's outcome c, bit s with weight 2^s, from _run_steps."""
+    """The outcome c of each run of a stack, bit s with weight 2^s, by _run_steps.
+
+    Row i of `uniforms` is run i's stream, drawn by _run_uniforms from (seed, i).
+    """
     # map holds no yielded sigma while the stepper forms the next stage
     bits = map(operator.itemgetter(0), _run_steps(inst, kind, cfg, uniforms))
     return sum(bit << s for s, bit in enumerate(bits))
-
-
-def run_trajectory(
-    inst: ShorInstance,
-    kind: InitialStateKind,
-    cfg: NoiseConfig | None,
-    rng,
-) -> int:
-    """One sampled run; returns the measured outcome c.
-
-    The single-run case of the batched stepper: the run's fixed number of
-    uniforms is drawn from `rng` up front, in the order the gates and
-    measurements consume them.
-    """
-    uniforms = rng.random((1, _draws_per_run(inst, cfg)))
-    return int(_run_stack(inst, kind, cfg, uniforms)[0])
 
 
 def _sweep_outcomes(
@@ -472,7 +460,7 @@ def _sweep_outcomes(
             uniforms = drawn[first : first + chunk]
             part = slice(start + first, start + first + len(uniforms))
             for row, cfg, total in zip(outcomes, configs, totals):
-                row[part] = _run_stack(inst, kind, cfg, uniforms[:, :total])
+                row[part] = run_trajectory(inst, kind, cfg, uniforms[:, :total])
     return outcomes
 
 

@@ -52,10 +52,10 @@ def measure_control(state: ComputerState):
     """
     rho = state.rho
     half = rho.shape[-1] // 2
-    p0, p1, dead0, dead1 = _outcomes(rho[..., :half, :half], rho[..., half:, half:])
+    p0, p1, live0, live1 = _outcomes(rho[..., :half, :half], rho[..., half:, half:])
 
-    def collapse(bit: int, p, dead) -> ComputerState | None:
-        live = ~np.ravel(dead)
+    def collapse(bit: int, p, live) -> ComputerState | None:
+        live = np.ravel(live)
         if not live.any():
             return None
         members = rho.reshape((-1,) + rho.shape[-2:])
@@ -69,7 +69,7 @@ def measure_control(state: ComputerState):
 
     if rho.ndim == 2:
         p0, p1 = float(p0), float(p1)
-    return (p0, collapse(0, p0, dead0)), (p1, collapse(1, p1, dead1))
+    return (p0, collapse(0, p0, live0)), (p1, collapse(1, p1, live1))
 
 
 def reference_tree_steps(inst, kind, epsilon, chunk):
@@ -97,7 +97,7 @@ def reference_tree_steps(inst, kind, epsilon, chunk):
             kids = []
             for bit, (p, branch) in enumerate(measure_control(state)):
                 if branch is not None:
-                    live = p >= DEAD_BRANCH_TOL
+                    live = ~(p < DEAD_BRANCH_TOL)
                     block = slice(bit * half, (bit + 1) * half)
                     kids.append((
                         branch.rho[:, block, block],

@@ -275,13 +275,15 @@ class TestMeasureControlStack:
         blocks = circuit.measure_control(*diagonal_blocks(np.stack(states)))
         alone = self._alone(states, history)
         half = states[0].shape[-1] // 2
-        for bit, ((p, branch), (q, kept)) in enumerate(zip(stacked, blocks)):
+        for bit, ((p, branch), (q, block_branch)) in enumerate(zip(stacked, blocks)):
             assert np.array_equal(p, [one[bit][0] for one in alone])
             assert np.array_equal(q, p)
             survivors = [one[bit][1] for one in alone if one[bit][1] is not None]
             if not survivors:
-                assert branch is None and kept is None
+                assert branch is None and block_branch is None
                 continue
+            live, kept = block_branch
+            assert np.array_equal(live, [one[bit][1] is not None for one in alone])
             assert branch.stage == 2
             assert np.array_equal(branch.rho, np.stack([b.rho for b in survivors]))
             for k in range(2):
@@ -348,6 +350,39 @@ class TestSampleControl:
             assert bit == (0 if draw < p0 else 1)
             expected = reprepare_control(b0 if bit == 0 else b1).rho
             assert np.array_equal(member, expected)
+
+
+class TestNormalization:
+    # kept blocks are multiplied by 1/p in place; the words must be those
+    # of the division block[live] / p[live] they replace, member for member
+
+    def _stack(self, rng):
+        # random states whose outcome probabilities reach down to 1e-13,
+        # and members for which one outcome is dead (p = 0 or 1e-15)
+        stack = np.stack([random_density_matrix(16, rng) for _ in range(40)])
+        weights = 10.0 ** rng.uniform(-13.0, 0.0, size=(2, 40))
+        weights[0, :4] = weights[1, 4:8] = 0.0
+        weights[0, 8], weights[1, 9] = 1e-15, 1e-15
+        stack[:, :8, :8] *= weights[0][:, None, None]
+        stack[:, 8:, 8:] *= weights[1][:, None, None]
+        return diagonal_blocks(stack)
+
+    def test_measure_control_equals_division(self, rng):
+        blocks = self._stack(rng)
+        for bit, (p, (live, kept)) in enumerate(circuit.measure_control(*blocks)):
+            dead = [0, 1, 2, 3, 8] if bit == 0 else [4, 5, 6, 7, 9]
+            assert np.array_equal(np.flatnonzero(~live), dead)
+            expected = blocks[bit][live] / p[live][:, None, None]
+            assert np.array_equal(kept.view(np.uint64), expected.view(np.uint64)), bit
+
+    def test_sample_control_equals_division(self, rng):
+        blocks = self._stack(rng)
+        (p0, _), (p1, _) = circuit.measure_control(*blocks)
+        bits, kept = sample_control(*blocks, rng.random(40))
+        assert set(bits[:4]) == {1} and set(bits[4:8]) == {0}
+        p = np.where(bits, p1, p0)
+        expected = np.where(bits[:, None, None] == 0, *blocks) / p[:, None, None]
+        assert np.array_equal(kept.view(np.uint64), expected.view(np.uint64))
 
 
 def mix_then_hadamard(measured, bit, epsilon):

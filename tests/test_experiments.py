@@ -145,6 +145,21 @@ class TestTreeProfile:
                     count += 1
                 assert count == 2 * inst.L
 
+    @pytest.mark.parametrize("N, a", [(6, 5), (15, 14)])
+    def test_pruned_tree_pairs_survivors_with_their_records(self, N, a):
+        # a base of order 2 makes every stage but the last measure 0 with
+        # certainty, so outcome 1 dies for every branch: each post-measure
+        # yield still holds one state per probability and record, and the
+        # leaves are zero exactly where the oracle is
+        inst = build_instance(N, a)
+        for kind in (PURE, MIXED_N, MIXED_FULL):
+            for point, probs, states, c in experiments._tree_steps(inst, kind, 0.0):
+                if point % 2:
+                    survivors = 2 if point == 2 * inst.L - 1 else 1
+                    assert len(states) == len(probs) == len(c) == survivors, (kind, point)
+            leaf = tree_leaf_distribution(inst, kind)
+            assert np.array_equal(leaf == 0.0, reference_distribution(inst, kind) == 0.0), kind
+
     def test_initial_mixedness_for_mixed_kind(self):
         inst = build_instance(15, 2)
         reports = tree_profile(inst, MIXED_N).reports
@@ -217,8 +232,8 @@ class TestTreeProfile:
         measure = circuit.measure_control
 
         def leaky(block0, block1):
-            (p0, kept0), (p1, kept1) = measure(block0, block1)
-            return (p0 * 0.9, kept0), (p1 * 0.9, kept1)
+            (p0, branch0), (p1, branch1) = measure(block0, block1)
+            return (p0 * 0.9, branch0), (p1 * 0.9, branch1)
 
         monkeypatch.setattr(circuit, "measure_control", leaky)
         inst = build_instance(15, 2)
@@ -352,7 +367,7 @@ class TestMonteCarlo:
         def no_runs(*args):
             raise AssertionError("a run was stepped before the grid was checked")
 
-        monkeypatch.setattr(experiments, "_run_stack", no_runs)
+        monkeypatch.setattr(experiments, "run_trajectory", no_runs)
         inst = build_instance(15, 2)
         with pytest.raises(ValueError, match="outside"):
             monte_carlo_sweep(inst, PURE, PAULI, [0.1, 1.5], 200, exclude_control=False, seed=1)
@@ -382,16 +397,17 @@ class TestMonteCarlo:
                         draws = experiments._draws_per_run(inst, cfg)
                         uniforms = rng.random((2, draws)).view(Recorded)
                         uniforms.read = []
-                        experiments._run_stack(inst, kind, cfg, uniforms)
+                        run_trajectory(inst, kind, cfg, uniforms)
                         where = (kind, channel, exclude, prob)
                         assert sorted(uniforms.read) == list(range(draws)), where
                         with pytest.raises((IndexError, ValueError)):
-                            experiments._run_stack(inst, kind, cfg, rng.random((2, draws - 1)))
+                            run_trajectory(inst, kind, cfg, rng.random((2, draws - 1)))
 
     def test_trajectory_returns_valid_outcome(self):
         inst = build_instance(10, 3)
+        draws = experiments._draws_per_run(inst, None)
         for run in range(5):
-            c = run_trajectory(inst, MIXED_N, None, run_rng(1, run))
+            (c,) = run_trajectory(inst, MIXED_N, None, run_rng(1, run).random((1, draws)))
             assert 0 <= c < inst.t
 
     def test_batched_runs_match_reference_outcome_for_outcome(self):
@@ -467,20 +483,21 @@ class TestMonteCarlo:
         inst = build_instance(15, 2)
         runs, seed = 37, 23
         stacks = []
-        run_stack = experiments._run_stack
 
         def recorded(inst, kind, cfg, uniforms):
             stacks.append(uniforms.shape[0])
-            return run_stack(inst, kind, cfg, uniforms)
+            return run_trajectory(inst, kind, cfg, uniforms)
 
-        monkeypatch.setattr(experiments, "_run_stack", recorded)
+        monkeypatch.setattr(experiments, "run_trajectory", recorded)
         for kind in (PURE, MIXED_N):
             for channel in (PAULI, MEASUREMENT):
                 for prob in (0.3, 1.0):
                     cfg = NoiseConfig(channel, prob)
                     draws = experiments._draws_per_run(inst, cfg)
                     streams = [run_rng(seed, run) for run in range(runs)]
-                    alone = [run_stack(inst, kind, cfg, rng.random((1, draws)))[0] for rng in streams]
+                    alone = [
+                        run_trajectory(inst, kind, cfg, rng.random((1, draws)))[0] for rng in streams
+                    ]
                     got = experiments._sweep_outcomes(inst, kind, [cfg], runs, seed)[0]
                     assert stacks == [32, 5]
                     stacks.clear()
