@@ -2,8 +2,10 @@
 
 The tree runner enumerates one measurement branch of each
 complex-conjugate pair with the pair's path probability, giving exact
-stage averages and the exact outcome distribution; Monte Carlo
-trajectories sample measurement results and noise events instead.  Both
+stage averages and the exact outcome distribution; trees of one N are
+walked together as a trie keyed by their stage multipliers, so a stage
+on which they agree so far is stepped once.  Monte Carlo trajectories
+sample measurement results and noise events instead.  Both
 keep each member's work block between stages and run a stage on the
 four control blocks of circuit._stage_blocks, in chunks of a fixed byte
 budget per member of the largest stacked array they hold: the tree forms
@@ -14,6 +16,7 @@ outcome does not depend on which runs share its chunk.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -95,20 +98,57 @@ def _chunk_size(side: int) -> int:
     return max(1, CHUNK_BYTES // (16 * side * side))
 
 
-def _tree_steps(inst: ShorInstance, kind: InitialStateKind, epsilon: float):
-    """Step one branch of each complex-conjugate pair of the measurement tree.
+def _stage_multiplier(inst: ShorInstance, s: int) -> int:
+    """a^(2^(L-1-s)) mod N: the multiplier of stage s's controlled multiplication."""
+    return pow(inst.a, 1 << (inst.L - 1 - s), inst.N)
 
-    Yields (point, probs, states, c) for each chunk at each of the 2L
-    sampling points: point 2s after stage s's gates, with the full states,
-    and point 2s + 1 after its measurement, with the work blocks sigma of
-    the measured states |bit><bit| (x) sigma.  `probs` are the path
-    probabilities, times 2 for a branch that stands in for its partner,
-    and `c` the outcome bits measured so far, bit s with weight 2^s.
-    Between stages only the work blocks are kept; each stage runs the
-    gates of a chunk of at most CHUNK_BYTES of full states on its control
-    blocks (circuit.run_stage_gates) and measures it on the two diagonal
-    blocks (circuit.measure_control), whose live masks pair each
-    outcome's surviving kids with their path probabilities and records.
+
+def _tree_steps(group, kind: InitialStateKind, epsilon: float):
+    """Step one branch of each complex-conjugate pair of the measurement trees of a group.
+
+    `group` is a sequence of instances of one N; a single tree is a group
+    of one.  Yields (owners, point, probs, states, c) for each chunk at
+    each of the 2L sampling points: point 2s after stage s's gates, with
+    the full states, and point 2s + 1 after its measurement, with the
+    work blocks sigma of the measured states |bit><bit| (x) sigma.
+    `owners` is the tuple of the indices into `group` of the instances
+    the chunk belongs to, `probs` are the path probabilities, times 2 for
+    a branch that stands in for its partner, and `c` the outcome bits
+    measured so far, bit s with weight 2^s.
+
+    A tree depends on its base only through its stage multipliers
+    a^(2^(L-1-s)) mod N: equal multipliers give the same permutation
+    array, and the preparation, phase correction, fold and dead-branch
+    rule do not read a.  Instances whose multipliers agree on stages
+    0..s therefore have bitwise equal trees up to stage s, so the group
+    is walked as a trie keyed by the multipliers: each stage is stepped
+    (_stage_steps) once for the instances that agree so far, and the walk
+    forks where they differ.  Each instance gets exactly the chunks of
+    its own walk, in order.  A stage input is held only where the group
+    forks, while the last fork goes on.
+    """
+    inst = group[0]
+    sigma = np.diag(circuit.work_distribution(inst, kind)).astype(complex)[None]
+    pending = [(tuple(range(len(group))), 0, (sigma, np.ones(1), np.zeros(1, dtype=np.int64)))]
+    while pending:
+        owners, first, state = pending.pop()
+        for s in range(first, inst.L):
+            forks = {}
+            for i in owners:
+                forks.setdefault(_stage_multiplier(group[i], s), []).append(i)
+            *held, owners = map(tuple, forks.values())
+            pending += ((fork, s, state) for fork in held)
+            state = yield from _stage_steps(group[owners[0]], s, state, owners, epsilon)
+
+
+def _stage_steps(inst: ShorInstance, s: int, state, owners: tuple, epsilon: float):
+    """Step stage s of one node of _tree_steps; returns the next stage's (sigma, probs, c).
+
+    Each stage runs the gates of a chunk of at most CHUNK_BYTES of full
+    states on its control blocks (circuit.run_stage_gates) and measures
+    it on the two diagonal blocks (circuit.measure_control), whose live
+    masks pair each outcome's surviving kids with their path
+    probabilities and records.  Only the kids' work blocks are kept.
 
     Every gate and preparation is real except the phase diag(1,
     exp(-2 pi i theta_s(c))), and theta_s(-c) = 1/2 - theta_s(c) for
@@ -125,40 +165,36 @@ def _tree_steps(inst: ShorInstance, kind: InitialStateKind, epsilon: float):
     circuit, not from comparing states, which differ from their partners'
     conjugates by round-off.
     """
+    sigma, probs, c = state
     chunk = _chunk_size(1 << inst.m)
     half = 1 << inst.n
-    sigma = np.diag(circuit.work_distribution(inst, kind)).astype(complex)[None]
-    probs = np.ones(1)
-    c = np.zeros(1, dtype=np.int64)
-    for s in range(inst.L):
-        grown, total = [], 0.0
-        twin = 1 << s >> 1 if s else -1  # the record that is its own partner; none at stage 0
-        for lo in range(0, probs.size, chunk):
-            part = slice(lo, lo + chunk)
-            chunk_probs, chunk_c = probs[part], c[part]
-            rho = circuit.run_stage_gates(sigma[part], inst, s, chunk_c, epsilon)
-            yield 2 * s, chunk_probs, rho, chunk_c
-            kids = []
-            branches = circuit.measure_control(rho[:, :half, :half], rho[:, half:, half:])
-            for bit, (p, branch) in enumerate(branches):
-                if branch is not None:
-                    live, kept = branch
-                    kid_probs, kid_c = chunk_probs[live] * p[live], chunk_c[live]
-                    folded = kid_c == twin
-                    if bit == 0:
-                        kid_probs[folded] *= 2.0
-                    elif folded.any():
-                        kept, kid_probs, kid_c = kept[~folded], kid_probs[~folded], kid_c[~folded]
-                    kids.append((kept, kid_probs, kid_c | bit << s))
-            kid_sigma, kid_probs, kid_c = (np.concatenate(x) for x in zip(*kids))
-            yield 2 * s + 1, kid_probs, kid_sigma, kid_c
-            total += kid_probs.sum()
-            if s < inst.L - 1:
-                grown.append((kid_sigma, kid_probs, kid_c))
-        if abs(total - 1.0) > 1e-9:
-            raise RuntimeError(f"leaf probabilities sum to {total} at stage {s}")
-        if grown:
-            sigma, probs, c = (np.concatenate(x) for x in zip(*grown))
+    twin = 1 << s >> 1 if s else -1  # the record that is its own partner; none at stage 0
+    grown, total = [], 0.0
+    for lo in range(0, probs.size, chunk):
+        part = slice(lo, lo + chunk)
+        chunk_probs, chunk_c = probs[part], c[part]
+        rho = circuit.run_stage_gates(sigma[part], inst, s, chunk_c, epsilon)
+        yield owners, 2 * s, chunk_probs, rho, chunk_c
+        kids = []
+        branches = circuit.measure_control(rho[:, :half, :half], rho[:, half:, half:])
+        for bit, (p, branch) in enumerate(branches):
+            if branch is not None:
+                live, kept = branch
+                kid_probs, kid_c = chunk_probs[live] * p[live], chunk_c[live]
+                folded = kid_c == twin
+                if bit == 0:
+                    kid_probs[folded] *= 2.0
+                elif folded.any():
+                    kept, kid_probs, kid_c = kept[~folded], kid_probs[~folded], kid_c[~folded]
+                kids.append((kept, kid_probs, kid_c | bit << s))
+        kid_sigma, kid_probs, kid_c = (np.concatenate(x) for x in zip(*kids))
+        yield owners, 2 * s + 1, kid_probs, kid_sigma, kid_c
+        total += kid_probs.sum()
+        if s < inst.L - 1:
+            grown.append((kid_sigma, kid_probs, kid_c))
+    if abs(total - 1.0) > 1e-9:
+        raise RuntimeError(f"leaf probabilities sum to {total} at stage {s}")
+    return tuple(np.concatenate(x) for x in zip(*grown)) if grown else None
 
 
 def _shannon_entropy(p: np.ndarray) -> float:
@@ -171,7 +207,8 @@ def tree_profile(inst: ShorInstance, kind: InitialStateKind, epsilon: float = 0.
     """Exact branch enumeration with per-stage entanglement and mixedness.
 
     Returns the 2L stage reports (after each controlled multiplication
-    and after each measurement) plus the exact leaf distribution over c.
+    and after each measurement) plus the exact leaf distribution over c,
+    from _tree_profiles on a group of one.
     The branches are those of _tree_steps, one per complex-conjugate
     pair with the pair's path mass, so the averages are those of the
     whole tree, and each leaf is spread over c and -c mod t.
@@ -182,31 +219,49 @@ def tree_profile(inst: ShorInstance, kind: InitialStateKind, epsilon: float = 0.
     plus h2(epsilon) times the path mass of the stage.
     Noisy runs go through monte_carlo_sweep.
     """
+    return _tree_profiles((inst,), kind, epsilon)[0]
+
+
+def _tree_profiles(group, kind: InitialStateKind, epsilon: float = 0.0) -> list[TreeResult]:
+    """tree_profile of every instance of a group of one N, from one _tree_steps walk.
+
+    Each chunk's contributions are added to the accumulators of every
+    instance that owns it, in chunk order, so each instance sums exactly
+    what it sums alone and gets its tree_profile bit for bit.
+    """
+    inst = group[0]
     points = 2 * inst.L
-    e_av, s_av, leaf = np.zeros(points), np.zeros(points), np.zeros(inst.t)
+    e_av, s_av = np.zeros((len(group), points)), np.zeros((len(group), points))
+    leaf = np.zeros((len(group), inst.t))
     h2 = _shannon_entropy(np.array([epsilon, 1.0 - epsilon]))
-    for point, probs, states, c in _tree_steps(inst, kind, epsilon):
+    for owners, point, probs, states, c in _tree_steps(group, kind, epsilon):
+        rows = list(owners)
         post_measure = point % 2 == 1
-        e_av[point] += probs @ entanglement._point_entanglement(states, post_measure)
+        e_av[rows, point] += probs @ entanglement._point_entanglement(states, post_measure)
         if post_measure:
-            s_av[point] += probs @ entanglement.mixedness(states)
+            s_av[rows, point] += probs @ entanglement.mixedness(states)
         else:
-            s_av[point] += h2 * probs.sum()
+            s_av[rows, point] += h2 * probs.sum()
         if point == points - 1:
-            leaf += _spread_leaves(c, probs, inst.t)
-    s_av[0] += _shannon_entropy(circuit.work_distribution(inst, kind))
-    s_av[2::2] += s_av[1:-1:2]
+            leaf[rows] += _spread_leaves(c, probs, inst.t)
+    s_av[:, 0] += _shannon_entropy(circuit.work_distribution(inst, kind))
+    s_av[:, 2::2] += s_av[:, 1:-1:2]
     s_av[s_av < entanglement.CLAMP_TOL] = 0.0  # round-off, as in mixedness
-    reports = tuple(
-        StageReport(
-            stage=i // 2,
-            kind=_POINT_KINDS[i % 2],
-            avg_logneg=float(e_av[i]),
-            mixedness=float(s_av[i]),
+    return [
+        TreeResult(
+            reports=tuple(
+                StageReport(
+                    stage=i // 2,
+                    kind=_POINT_KINDS[i % 2],
+                    avg_logneg=float(e[i]),
+                    mixedness=float(s[i]),
+                )
+                for i in range(points)
+            ),
+            leaf_probs=lp,
         )
-        for i in range(points)
-    )
-    return TreeResult(reports=reports, leaf_probs=leaf)
+        for e, s, lp in zip(e_av, s_av, leaf)
+    ]
 
 
 def tree_leaf_distribution(inst: ShorInstance, kind: InitialStateKind) -> np.ndarray:
@@ -218,7 +273,7 @@ def tree_leaf_distribution(inst: ShorInstance, kind: InitialStateKind) -> np.nda
     leaf over c and -c mod t.
     """
     leaf = np.zeros(inst.t)
-    for point, probs, _, c in _tree_steps(inst, kind, 0.0):
+    for _, point, probs, _, c in _tree_steps((inst,), kind, 0.0):
         if point == 2 * inst.L - 1:
             leaf += _spread_leaves(c, probs, inst.t)
     return leaf
@@ -252,13 +307,24 @@ def _commutes_with_multiplication(inst: ShorInstance, kind: InitialStateKind) ->
     return bool(np.array_equal(w[permutation], w))
 
 
+def _shared_stages(inst: ShorInstance, others) -> int:
+    """The most leading stages on which inst's multipliers agree with those of one of `others`."""
+    shared = 0
+    for other in others:
+        s = 0
+        while s < inst.L and _stage_multiplier(inst, s) == _stage_multiplier(other, s):
+            s += 1
+        shared = max(shared, s)
+    return shared
+
+
 def ensemble_profile(bits: int, kind: InitialStateKind) -> list[StageReport]:
     """Mean of tree_profile over every (N, a) of the ensemble, each with weight 1.
 
     When the initial work state commutes with U_a (b -> a b mod N), as for
     mixed-n and mixed-full, the tree of a^-1 mod N repeats the tree of a:
-    only the smaller of each pair {a, a^-1} is run, with weight 2 (weight
-    1 when a^2 = 1 mod N).  This is exact.  Every work block of the a
+    one member of each pair {a, a^-1} is run, with weight 2 (weight 1
+    when a^2 = 1 mod N).  This is exact.  Every work block of the a
     tree then commutes with U_a, and the partial transpose over the whole
     work register W turns the controlled multiplication by a^k into the
     one by a^-k while it commutes with the control gates, the control
@@ -271,17 +337,28 @@ def ensemble_profile(bits: int, kind: InitialStateKind) -> list[StageReport]:
     with the cut T = W giving 0 on both sides.  The pure register |1> is
     not invariant, its a and a^-1 trees differ, and every a runs on its
     own with weight 1, summed in the same order.
+
+    The trees of one N are stepped together by _tree_profiles, which
+    steps once each stage on which their multipliers agree so far and
+    gives each tree its tree_profile bit for bit.  So the member of a
+    pair that is run is the one whose multipliers share more leading
+    stages with a base already chosen, the smaller on a tie.
     """
     if bits not in (4, 5):
         raise ValueError("ensemble profiles are defined for 4- and 5-digit numbers")
     weighted = []
     for inst in ensemble_instances(bits):
         inverse = pow(inst.a, -1, inst.N)
-        if not _commutes_with_multiplication(inst, kind):
+        if not _commutes_with_multiplication(inst, kind) or inst.a == inverse:
             weighted.append((1, inst))
-        elif inst.a <= inverse:
-            weighted.append((1 if inst.a == inverse else 2, inst))
-    results = [(weight, tree_profile(inst, kind)) for weight, inst in weighted]
+        elif inst.a < inverse:
+            chosen = [other for _, other in weighted if other.N == inst.N]
+            pair = (inst, circuit.build_instance(inst.N, inverse))
+            weighted.append((2, max(pair, key=lambda x: _shared_stages(x, chosen))))
+    results = []
+    for _, members in itertools.groupby(weighted, key=lambda member: member[1].N):
+        weights, group = zip(*members)
+        results += zip(weights, _tree_profiles(group, kind))
     count = sum(weight for weight, _ in results)
     out = []
     for i, template in enumerate(results[0][1].reports):
@@ -551,7 +628,7 @@ def _average_entanglement(
     """
     points = 2 * inst.L
     running = 0.0
-    for point, probs, states, _ in _tree_steps(inst, kind, epsilon):
+    for _, point, probs, states, _ in _tree_steps((inst,), kind, epsilon):
         running += probs @ entanglement._point_entanglement(states, point % 2 == 1)
         if stop_above is not None and running / points >= stop_above:
             return running / points

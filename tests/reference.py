@@ -75,7 +75,8 @@ def measure_control(state: ComputerState):
 def reference_tree_steps(inst, kind, epsilon, chunk):
     """The measurement tree on full states, yielding what experiments._tree_steps yields.
 
-    (point, probs, states, c) per chunk of `chunk` branches at each of
+    (point, probs, states, c), the yields of _tree_steps on a group of
+    one without their owners, per chunk of `chunk` branches at each of
     the 2L sampling points: the full post-gate states, then the work
     blocks sigma of the measured states, with path probabilities and
     outcome bits so far.  Each stage prepares the control with

@@ -45,7 +45,7 @@ def test_tracer_counts_the_measures_of_a_tree(monkeypatch):
     # experiments would keep the unwrapped function and count nothing
     tracing = _load_tracing(monkeypatch)
     inst = build_instance(9, 2)
-    points = [point for point, *_ in experiments._tree_steps(inst, MIXED_N, 0.0)]
+    points = [point for _, point, *_ in experiments._tree_steps((inst,), MIXED_N, 0.0)]
     layers = _traced(tracing, lambda: experiments.tree_profile(inst, MIXED_N))
     assert layers["entanglement.average_log_negativity.calls"] == len(points)
     assert layers["entanglement.mixedness.calls"] == sum(point % 2 for point in points)

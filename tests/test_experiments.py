@@ -57,6 +57,13 @@ def _points(steps):
         yield 2 * stage + 1, records[1]
 
 
+def _single_steps(inst, kind, epsilon):
+    """The (point, probs, states, c) of _tree_steps on a group of one, which owns every chunk."""
+    for owners, point, probs, states, c in experiments._tree_steps((inst,), kind, epsilon):
+        assert owners == (0,)
+        yield point, probs, states, c
+
+
 class TestTreeProfile:
     def test_leaf_distribution_matches_oracle(self):
         inst = build_instance(15, 2)
@@ -94,7 +101,7 @@ class TestTreeProfile:
         inst = build_instance(N, a)
         for kind in (PURE, MIXED_N, MIXED_FULL):
             for eps in (0.0, 0.25):
-                for point, _, states, _ in experiments._tree_steps(inst, kind, eps):
+                for point, _, states, _ in _single_steps(inst, kind, eps):
                     densemat.assert_valid_state(states, context=f"{kind} eps={eps} point {point}")
 
     @pytest.mark.parametrize("N, a", [(6, 5), (9, 2), (15, 2), (21, 2)])
@@ -116,7 +123,7 @@ class TestTreeProfile:
             return r == 0 or not r >> (r & -r).bit_length() & 1
         for kind in (PURE, MIXED_N, MIXED_FULL):
             for eps in (0.0, 0.25):
-                steps = _points(experiments._tree_steps(inst, kind, eps))
+                steps = _points(_single_steps(inst, kind, eps))
                 reference = _points(reference_tree_steps(inst, kind, eps, chunk))
                 count = 0
                 for (point, got), (ref_point, expected) in zip(steps, reference, strict=True):
@@ -145,6 +152,42 @@ class TestTreeProfile:
                     count += 1
                 assert count == 2 * inst.L
 
+    @pytest.mark.parametrize(
+        "N, bases", [(9, (2, 7)), (14, (3, 11)), (15, (2, 4, 7)), (21, (2, 16))]
+    )
+    def test_group_walk_shares_exactly_the_agreeing_multiplier_prefixes(self, N, bases):
+        # every chunk the group walk yields is owned by exactly the
+        # instances whose stage multipliers agree with its first owner's on
+        # stages 0..s, so a shared chunk is yielded once; and each owner
+        # gets it bitwise as its own walk alone yields it, in that order.
+        # (9, 2)/(9, 7), (14, 3)/(14, 11), (15, 2)/(15, 7) agree on 7 of 8
+        # stages, (21, 2)/(21, 16) on 9 of 10, (15, 4) on the first 6
+        group = tuple(build_instance(N, a) for a in bases)
+
+        def multipliers(inst, s):
+            return [pow(inst.a, 1 << (inst.L - 1 - k), N) for k in range(s + 1)]
+
+        for kind in (PURE, MIXED_N, MIXED_FULL):
+            for eps in (0.0, 0.25):
+                alone = [_single_steps(inst, kind, eps) for inst in group]
+                shared = 0
+                for owners, point, probs, states, c in experiments._tree_steps(group, kind, eps):
+                    s = point // 2
+                    prefix = multipliers(group[owners[0]], s)
+                    agreeing = [i for i, inst in enumerate(group) if multipliers(inst, s) == prefix]
+                    assert list(owners) == agreeing, (kind, eps, point)
+                    shared += len(owners) > 1
+                    for i in owners:
+                        point_i, probs_i, states_i, c_i = next(alone[i])
+                        where = (kind, eps, point, bases[i])
+                        assert point_i == point, where
+                        assert np.array_equal(probs_i, probs), where
+                        assert np.array_equal(states_i, states), where
+                        assert np.array_equal(c_i, c), where
+                assert shared > 0
+                for steps in alone:
+                    assert next(steps, None) is None, (kind, eps)
+
     @pytest.mark.parametrize("N, a", [(6, 5), (15, 14)])
     def test_pruned_tree_pairs_survivors_with_their_records(self, N, a):
         # a base of order 2 makes every stage but the last measure 0 with
@@ -153,7 +196,7 @@ class TestTreeProfile:
         # leaves are zero exactly where the oracle is
         inst = build_instance(N, a)
         for kind in (PURE, MIXED_N, MIXED_FULL):
-            for point, probs, states, c in experiments._tree_steps(inst, kind, 0.0):
+            for point, probs, states, c in _single_steps(inst, kind, 0.0):
                 if point % 2:
                     survivors = 2 if point == 2 * inst.L - 1 else 1
                     assert len(states) == len(probs) == len(c) == survivors, (kind, point)
@@ -188,7 +231,7 @@ class TestTreeProfile:
             for kind in (PURE, MIXED_N, MIXED_FULL):
                 for eps in (0.0, 0.1, 0.25, 0.5):
                     post_gate = np.zeros(inst.L)
-                    for point, probs, states, _ in experiments._tree_steps(inst, kind, eps):
+                    for point, probs, states, _ in _single_steps(inst, kind, eps):
                         if point % 2 == 0:
                             post_gate[point // 2] += probs @ mixedness(states)
                     s = [r.mixedness for r in tree_profile(inst, kind, epsilon=eps).reports]
@@ -242,6 +285,7 @@ class TestTreeProfile:
             lambda: tree_leaf_distribution(inst, PURE),
             lambda: success_probability_exact(inst, PURE),
             lambda: experiments._average_entanglement(inst, PURE, 0.0, stop_above=CLAMP_TOL),
+            lambda: experiments.ensemble_profile(4, MIXED_N),
         )
         for run in callers:
             with pytest.raises(RuntimeError, match="leaf probabilities sum to 0.9"):
@@ -256,7 +300,7 @@ class TestTreeProfile:
         inst = build_instance(15, 2)
         parts = bipartitions(inst.m)
         e_av, s_av = np.zeros(2 * inst.L), np.zeros(2 * inst.L)
-        for point, probs, states, c in experiments._tree_steps(inst, kind, eps):
+        for point, probs, states, c in _single_steps(inst, kind, eps):
             for p, rho, path in zip(probs, states, c):
                 if point % 2:
                     bit = path >> (point // 2) & 1
@@ -284,7 +328,7 @@ class TestChunks:
     @pytest.mark.parametrize("N, a, chunk", [(9, 2, 8), (21, 2, 2)])
     def test_tree_steps_chunks_of_full_states(self, N, a, chunk):
         inst = build_instance(N, a)
-        steps = experiments._tree_steps(inst, PURE, 0.0)
+        steps = _single_steps(inst, PURE, 0.0)
         assert max(probs.size for point, probs, _, _ in steps if point % 2 == 0) == chunk
 
 
@@ -721,19 +765,31 @@ class TestEnsemble:
             else:
                 assert abs(r.avg_logneg - e) < 1e-12 and abs(r.mixedness - s) < 1e-12, i
 
-    @pytest.mark.parametrize("kind, calls", [(PURE, 20), (MIXED_N, 13), (MIXED_FULL, 13)])
-    def test_mixed_kinds_run_one_tree_per_inverse_pair(
-        self, kind, calls, all_ensemble_trees, monkeypatch
-    ):
-        # 7 of the 20 bases are the larger member of a pair {a, a^-1}
-        run = []
+    @pytest.mark.parametrize(
+        "kind, bases, steps", [(PURE, 20, 78), (MIXED_N, 13, 57), (MIXED_FULL, 13, 57)]
+    )
+    def test_mixed_kinds_run_one_tree_per_inverse_pair(self, kind, bases, steps, monkeypatch):
+        # 7 of the 20 bases are the second member of a pair {a, a^-1}, and
+        # the trees of one N share the stages their multipliers agree on:
+        # a stage step is one stage of one node of the walk, counted by its
+        # distinct (N, owners, stage)
+        walk = experiments._tree_steps
+        stepped, nodes = [], set()
 
-        def recorded(inst, k, epsilon=0.0):
-            run.append((inst.N, inst.a))
-            return all_ensemble_trees[k][(inst.N, inst.a)]
+        def recorded(group, k, epsilon):
+            stepped.extend((inst.N, inst.a) for inst in group)
+            for step in walk(group, k, epsilon):
+                nodes.add((group[0].N, step[0], step[1] // 2))
+                yield step
 
-        monkeypatch.setattr(experiments, "tree_profile", recorded)
+        monkeypatch.setattr(experiments, "_tree_steps", recorded)
         experiments.ensemble_profile(4, kind)
-        assert len(run) == calls
+        assert len(stepped) == len(set(stepped)) == bases
+        assert len(nodes) == steps
         if kind is not PURE:
-            assert all(a <= pow(a, -1, n) for n, a in run)
+
+            def pair(n, a):
+                return n, frozenset((a, pow(a, -1, n)))
+
+            every = {pair(inst.N, inst.a) for inst in ensemble_instances(4)}
+            assert {pair(n, a) for n, a in stepped} == every
