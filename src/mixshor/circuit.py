@@ -8,9 +8,12 @@ conditioned on all previous measurement results, and a Hadamard on the
 control, after which the control is measured; the measured bit m_s
 carries weight 2^s in the outcome c = sum_s 2^s m_s.
 
-Both engines run a stage on the four (d/2, d/2) control blocks of each
-member's work block (_stage_blocks); the full-state functions
-(initial_state, stage_gates, reprepare_control) are their reference.
+A run reads its base a only through the stage multipliers
+a^(2^(L-1-s)) mod N (stage_multipliers), and each multiplier has one
+cached, read-only work-index gather (_work_permutation).  Both engines
+run a stage on the four (d/2, d/2) control blocks of each member's work
+block (_stage_blocks); the full-state functions (initial_state,
+stage_gates, reprepare_control) are their reference.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "ShorInstance",
     "ComputerState",
     "build_instance",
+    "stage_multipliers",
     "initial_state",
     "work_distribution",
     "phase_correction_angle",
@@ -133,14 +137,22 @@ def initial_state(
 
 
 @lru_cache(maxsize=None)
-def _modmult_inverse_permutation(inst: ShorInstance, x: int) -> np.ndarray:
-    """Inverse of the permutation of cU_a^(2^x): b < N -> a^(-2^x) b mod N when control=1."""
-    inverse = pow(inst.a, -(1 << x), inst.N)
-    half = 1 << inst.n
-    inv = np.arange(2 * half)
-    inv[half : half + inst.N] = half + inverse * np.arange(inst.N) % inst.N
-    inv.flags.writeable = False
-    return inv
+def stage_multipliers(inst: ShorInstance) -> tuple[int, ...]:
+    """a^(2^(L-1-s)) mod N for s = 0..L-1: the multiplier of each stage's controlled multiplication."""
+    return tuple(pow(inst.a, 1 << (inst.L - 1 - s), inst.N) for s in range(inst.L))
+
+
+@lru_cache(maxsize=None)
+def _work_permutation(N: int, n: int, multiplier: int) -> np.ndarray:
+    """The (2^n,) read-only work-index gather of U_multiplier: b < N -> multiplier^-1 b mod N.
+
+    Work values b >= N stay fixed.  Gathering the work indices of the
+    control-1 side by it conjugates by the controlled multiplication.
+    """
+    perm = np.arange(1 << n)
+    perm[:N] = pow(multiplier, -1, N) * perm[:N] % N
+    perm.flags.writeable = False
+    return perm
 
 
 def phase_correction_angle(bits, s: int) -> float:
@@ -213,7 +225,9 @@ def stage_gates(inst: ShorInstance, s: int, bits):
     """
     if not 0 <= s < inst.L:
         raise ValueError(f"stage {s} outside 0..{inst.L - 1}")
-    inv = _modmult_inverse_permutation(inst, inst.L - 1 - s)
+    half = 1 << inst.n
+    perm = _work_permutation(inst.N, inst.n, stage_multipliers(inst)[s])
+    inv = np.concatenate((np.arange(half), half + perm))
     ops = [lambda rho: _apply_modmult(rho, inv)]
     if s >= 1:
         theta = phase_correction_angle(bits, s)
@@ -235,8 +249,7 @@ def _stage_blocks(sigma: np.ndarray, inst: ShorInstance, s: int, outcome, epsilo
     """
     if not 0.0 <= epsilon <= 0.5:
         raise ValueError(f"epsilon={epsilon} outside [0, 1/2]")
-    half = sigma.shape[-1]
-    perm = _modmult_inverse_permutation(inst, inst.L - 1 - s)[half:] - half
+    perm = _work_permutation(inst.N, inst.n, stage_multipliers(inst)[s])
     a = sigma * 0.5
     # take gathers into C-contiguous blocks; fancy indexing would leave
     # them transposed in memory and every later pass slower

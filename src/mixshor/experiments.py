@@ -98,11 +98,6 @@ def _chunk_size(side: int) -> int:
     return max(1, CHUNK_BYTES // (16 * side * side))
 
 
-def _stage_multiplier(inst: ShorInstance, s: int) -> int:
-    """a^(2^(L-1-s)) mod N: the multiplier of stage s's controlled multiplication."""
-    return pow(inst.a, 1 << (inst.L - 1 - s), inst.N)
-
-
 def _tree_steps(group, kind: InitialStateKind, epsilon: float):
     """Step one branch of each complex-conjugate pair of the measurement trees of a group.
 
@@ -117,7 +112,7 @@ def _tree_steps(group, kind: InitialStateKind, epsilon: float):
     measured so far, bit s with weight 2^s.
 
     A tree depends on its base only through its stage multipliers
-    a^(2^(L-1-s)) mod N: equal multipliers give the same permutation
+    (circuit.stage_multipliers): equal multipliers give the same cached
     array, and the preparation, phase correction, fold and dead-branch
     rule do not read a.  Instances whose multipliers agree on stages
     0..s therefore have bitwise equal trees up to stage s, so the group
@@ -135,7 +130,7 @@ def _tree_steps(group, kind: InitialStateKind, epsilon: float):
         for s in range(first, inst.L):
             forks = {}
             for i in owners:
-                forks.setdefault(_stage_multiplier(group[i], s), []).append(i)
+                forks.setdefault(circuit.stage_multipliers(group[i])[s], []).append(i)
             *held, owners = map(tuple, forks.values())
             pending += ((fork, s, state) for fork in held)
             state = yield from _stage_steps(group[owners[0]], s, state, owners, epsilon)
@@ -302,20 +297,7 @@ def ensemble_instances(bits: int) -> list[ShorInstance]:
 def _commutes_with_multiplication(inst: ShorInstance, kind: InitialStateKind) -> bool:
     """True when the initial work state is invariant under b -> a b mod N."""
     w = circuit.work_distribution(inst, kind)
-    half = 1 << inst.n
-    permutation = circuit._modmult_inverse_permutation(inst, 0)[half:] - half
-    return bool(np.array_equal(w[permutation], w))
-
-
-def _shared_stages(inst: ShorInstance, others) -> int:
-    """The most leading stages on which inst's multipliers agree with those of one of `others`."""
-    shared = 0
-    for other in others:
-        s = 0
-        while s < inst.L and _stage_multiplier(inst, s) == _stage_multiplier(other, s):
-            s += 1
-        shared = max(shared, s)
-    return shared
+    return bool(np.array_equal(w[circuit._work_permutation(inst.N, inst.n, inst.a)], w))
 
 
 def ensemble_profile(bits: int, kind: InitialStateKind) -> list[StageReport]:
@@ -323,8 +305,9 @@ def ensemble_profile(bits: int, kind: InitialStateKind) -> list[StageReport]:
 
     When the initial work state commutes with U_a (b -> a b mod N), as for
     mixed-n and mixed-full, the tree of a^-1 mod N repeats the tree of a:
-    one member of each pair {a, a^-1} is run, with weight 2 (weight 1
-    when a^2 = 1 mod N).  This is exact.  Every work block of the a
+    each base steps the member of its pair {a, a^-1} with the smaller
+    stage multipliers, and a tree counts once for every base that steps
+    it.  This is exact.  Every work block of the a
     tree then commutes with U_a, and the partial transpose over the whole
     work register W turns the controlled multiplication by a^k into the
     one by a^-k while it commutes with the control gates, the control
@@ -336,29 +319,21 @@ def ensemble_profile(bits: int, kind: InitialStateKind) -> list[StageReport]:
     the a tree's across W minus T: a bijection on the canonical cuts,
     with the cut T = W giving 0 on both sides.  The pure register |1> is
     not invariant, its a and a^-1 trees differ, and every a runs on its
-    own with weight 1, summed in the same order.
-
-    The trees of one N are stepped together by _tree_profiles, which
-    steps once each stage on which their multipliers agree so far and
-    gives each tree its tree_profile bit for bit.  So the member of a
-    pair that is run is the one whose multipliers share more leading
-    stages with a base already chosen, the smaller on a tie.
+    own with weight 1, summed in the same order.  The trees of one N are
+    stepped together by _tree_profiles, each bit for bit its tree_profile.
     """
     if bits not in (4, 5):
         raise ValueError("ensemble profiles are defined for 4- and 5-digit numbers")
-    weighted = []
+    weights: dict[ShorInstance, int] = {}
     for inst in ensemble_instances(bits):
-        inverse = pow(inst.a, -1, inst.N)
-        if not _commutes_with_multiplication(inst, kind) or inst.a == inverse:
-            weighted.append((1, inst))
-        elif inst.a < inverse:
-            chosen = [other for _, other in weighted if other.N == inst.N]
-            pair = (inst, circuit.build_instance(inst.N, inverse))
-            weighted.append((2, max(pair, key=lambda x: _shared_stages(x, chosen))))
+        if _commutes_with_multiplication(inst, kind):
+            inverse = circuit.build_instance(inst.N, pow(inst.a, -1, inst.N))
+            inst = min(inst, inverse, key=circuit.stage_multipliers)
+        weights[inst] = weights.get(inst, 0) + 1
     results = []
-    for _, members in itertools.groupby(weighted, key=lambda member: member[1].N):
-        weights, group = zip(*members)
-        results += zip(weights, _tree_profiles(group, kind))
+    for _, group in itertools.groupby(weights, key=operator.attrgetter("N")):
+        group = tuple(group)
+        results += zip((weights[inst] for inst in group), _tree_profiles(group, kind))
     count = sum(weight for weight, _ in results)
     out = []
     for i, template in enumerate(results[0][1].reports):

@@ -99,12 +99,16 @@ class TestInitialState:
 
 
 def modmult_matrix(inst, x):
-    """Permutation matrix of the controlled multiplication by a^(2^x), from its inverse permutation.
+    """Permutation matrix of the controlled multiplication by a^(2^x), from its work gather.
 
-    Row i holds its one at column inv[i]: the gather rho[inv][:, inv]
-    that both engines and stage_gates perform is U rho U^dagger.
+    The multiplier of stage L-1-x, gathered on the control-1 work indices
+    and the identity on the control-0 ones.  Row i holds its one at column
+    inv[i]: the gather rho[inv][:, inv] that both engines and stage_gates
+    perform is U rho U^dagger.
     """
-    inv = circuit._modmult_inverse_permutation(inst, x)
+    half = 1 << inst.n
+    perm = circuit._work_permutation(inst.N, inst.n, circuit.stage_multipliers(inst)[inst.L - 1 - x])
+    inv = np.concatenate((np.arange(half), half + perm))
     return np.eye(inv.size, dtype=complex)[inv]
 
 
@@ -156,6 +160,34 @@ class TestControlledModmult:
                     assert np.array_equal(modmult_matrix(inst, x), expected), (N, a, x)
                     count += 1
         assert count == 1304
+
+    def test_work_permutation_is_the_inverse_multiplication_gather(self):
+        # b < N -> a^(-2^x) b mod N and b >= N fixed, for every instance
+        # and exponent, read-only
+        count = 0
+        for N in range(6, 32):
+            if is_prime(N):
+                continue
+            for a in coprime_list(N):
+                inst = build_instance(N, a)
+                for x in range(inst.L):
+                    multiplier = circuit.stage_multipliers(inst)[inst.L - 1 - x]
+                    perm = circuit._work_permutation(N, inst.n, multiplier)
+                    expected = np.arange(1 << inst.n)
+                    expected[:N] = [pow(a, -(1 << x), N) * b % N for b in range(N)]
+                    assert np.array_equal(perm, expected), (N, a, x)
+                    assert not perm.flags.writeable
+                    count += 1
+        assert count == 1304
+
+    def test_equal_stage_multipliers_share_one_array(self):
+        # (9, 2) and (9, 7) agree on stages 0..6 and differ on stage 7
+        x, y = build_instance(9, 2), build_instance(9, 7)
+        for s in range(x.L):
+            px, py = (
+                circuit._work_permutation(9, i.n, circuit.stage_multipliers(i)[s]) for i in (x, y)
+            )
+            assert (px is py) == (s < 7), s
 
     def test_high_work_values_fixed(self):
         inst = build_instance(15, 2)

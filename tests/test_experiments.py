@@ -793,3 +793,75 @@ class TestEnsemble:
 
             every = {pair(inst.N, inst.a) for inst in ensemble_instances(4)}
             assert {pair(n, a) for n, a in stepped} == every
+
+    @pytest.mark.parametrize(
+        "bits, kind, bases, steps",
+        [
+            (4, PURE, 20, 78),
+            (4, MIXED_N, 13, 57),
+            (4, MIXED_FULL, 13, 57),
+            (5, PURE, 50, 202),
+            (5, MIXED_N, 28, 123),
+            (5, MIXED_FULL, 28, 123),
+        ],
+    )
+    def test_each_pair_steps_its_member_with_the_smaller_multipliers(
+        self, bits, kind, bases, steps, monkeypatch
+    ):
+        # the representative rule alone, with no tree stepped: a stage step
+        # is a distinct multiplier prefix of a group, one node of its trie;
+        # of each pair {a, a^-1} the member with the lexicographically
+        # smaller multipliers is stepped, and it counts once for each base
+        def multipliers(n, a):
+            L = 2 * (n - 1).bit_length()
+            return tuple(pow(a, 1 << (L - 1 - s), n) for s in range(L))
+
+        groups = []
+
+        def recorded(group, k, epsilon):
+            groups.append(group)
+            return iter(())
+
+        monkeypatch.setattr(experiments, "_tree_steps", recorded)
+        experiments.ensemble_profile(bits, kind)
+        stepped = [(inst.N, inst.a) for group in groups for inst in group]
+        assert len(stepped) == len(set(stepped)) == bases
+        assert len({group[0].N for group in groups}) == len(groups)
+        prefixes = {(n, multipliers(n, a)[:s]) for n, a in stepped for s in range(1, 2 * bits + 1)}
+        assert len(prefixes) == steps
+
+        def representative(n, a):
+            if kind is PURE:
+                return n, a
+            return n, min(a, pow(a, -1, n), key=lambda b: multipliers(n, b))
+
+        instances = ensemble_instances(bits)
+        counts = {}
+        for inst in instances:
+            tree = representative(inst.N, inst.a)
+            counts[tree] = counts.get(tree, 0) + 1
+        assert stepped == list(counts)
+
+        # stub profiles report 1 for one tree and 0 for the rest, so the
+        # ensemble mean reads that tree's count over the ensemble size
+        points = 4 * bits
+        for probe in stepped:
+
+            def stub(group, k):
+                return [
+                    experiments.TreeResult(
+                        reports=tuple(
+                            experiments.StageReport(
+                                i // 2, "post_gate", float((inst.N, inst.a) == probe), 0.0
+                            )
+                            for i in range(points)
+                        ),
+                        leaf_probs=np.zeros(1),
+                    )
+                    for inst in group
+                ]
+
+            monkeypatch.setattr(experiments, "_tree_profiles", stub)
+            reports = experiments.ensemble_profile(bits, kind)
+            expected = counts[probe] / len(instances)
+            assert [r.avg_logneg for r in reports] == [expected] * points, probe
