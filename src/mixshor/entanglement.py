@@ -1,4 +1,4 @@
-"""Log-negativity over bipartitions, PPT testing, mixedness, and the block spectra they run on."""
+"""Log-negativity over bipartitions, mixedness, and the block spectra they run on."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ __all__ = [
     "bipartitions",
     "log_negativity",
     "average_log_negativity",
-    "is_ppt",
     "mixedness",
 ]
 
@@ -58,7 +57,7 @@ def average_log_negativity(rho: np.ndarray):
     dim = rho.shape[-1]
     members = rho.reshape(-1, dim, dim)
     parts = bipartitions(densemat.num_qubits(members[0]))
-    e = np.log2(_spectral_sums(members, parts, np.abs))
+    e = np.log2(_spectral_sums(members, parts, np.abs, split=True))
     e[np.abs(e) < CLAMP_TOL] = 0.0
     means = e.mean(axis=-1)
     return float(means[0]) if rho.ndim == 2 else means
@@ -81,17 +80,6 @@ def _point_entanglement(states: np.ndarray, post_measure: bool) -> np.ndarray:
     return 2.0 * count_n * average_log_negativity(states) / count_m
 
 
-def is_ppt(rho: np.ndarray, partition) -> bool:
-    """True when the partial transpose has no eigenvalue below -1e-10.
-
-    A positive partial transpose is necessary (not sufficient) for
-    separability, so is_ppt=False certifies entanglement while
-    is_ppt=True certifies nothing.
-    """
-    vals = densemat.hermitian_eigenvalues(densemat.partial_transpose(rho, partition))
-    return bool(vals[-1] >= -1e-10)
-
-
 def mixedness(rho: np.ndarray):
     """Von Neumann entropy -sum(lam log2 lam) of the whole computer state, in bits.
 
@@ -101,7 +89,7 @@ def mixedness(rho: np.ndarray):
     exactly zero: a pure state has entropy 0, not 1e-15.
     """
     dim = rho.shape[-1]
-    s = -_spectral_sums(rho.reshape(-1, dim, dim), ((),), _plogp)[:, 0]
+    s = -_spectral_sums(rho.reshape(-1, dim, dim), ((),), _plogp, split=False)[:, 0]
     s[s < CLAMP_TOL] = 0.0
     return float(s[0]) if rho.ndim == 2 else s.reshape(rho.shape[:-2])
 
@@ -111,20 +99,30 @@ def _plogp(vals: np.ndarray) -> np.ndarray:
     return np.where(positive, vals, 0.0) * np.log2(np.where(positive, vals, 1.0))
 
 
-def _transpose_map(dim: int, subset: tuple[int, ...]) -> np.ndarray:
-    """(dim, dim) flat indices: member.ravel()[map] is its partial transpose over `subset`."""
-    index = np.arange(dim * dim)
-    if subset:
-        m = dim.bit_length() - 1
+@lru_cache(maxsize=None)
+def _transpose_maps(dim: int, subsets: tuple[tuple[int, ...], ...]):
+    """Partial transpose maps and transposed-qubit masks, read-only, shared by every plan.
+
+    member.ravel()[maps[k]] is the (dim, dim) partial transpose over
+    subsets[k], and masks[k] has bit m - 1 - q of an index set for each
+    qubit q of subsets[k].
+    """
+    m = dim.bit_length() - 1
+    maps, masks = [], []
+    for subset in subsets:
         axes = list(range(2 * m))
         for q in subset:
             axes[q], axes[m + q] = axes[m + q], axes[q]
-        index = index.reshape((2,) * (2 * m)).transpose(axes)
-    return index.reshape(dim, dim)
+        maps.append(np.arange(dim * dim).reshape((2,) * (2 * m)).transpose(axes).reshape(dim, dim))
+        masks.append(sum(1 << (m - 1 - q) for q in subset))
+    maps, masks = np.stack(maps), np.array(masks)
+    maps.setflags(write=False)
+    masks.setflags(write=False)
+    return maps, masks
 
 
 @lru_cache(maxsize=256)
-def _block_plan(pattern: bytes, dim: int, subsets: tuple[tuple[int, ...], ...]):
+def _block_plan(pattern: bytes, dim: int, subsets: tuple[tuple[int, ...], ...], split: bool):
     """Gather indices of the independent blocks of a sparsity pattern's partial transposes.
 
     `pattern` is the packed nonzero pattern of a flat (dim, dim) member and
@@ -132,7 +130,12 @@ def _block_plan(pattern: bytes, dim: int, subsets: tuple[tuple[int, ...], ...]):
     identity).  The blocks of a transposed pattern are the connected
     components of its graph: every node takes the smallest label among
     itself and its neighbours, then the label of its label, until nothing
-    changes, which labels each component by its smallest index.
+    changes, which labels each component by its smallest position.
+
+    With `split`, for the trace norm only, a component over which the
+    transposed qubits vary on none or on all of the qubits that vary over
+    it is a principal submatrix of the member or its transpose, positive
+    semidefinite, whose trace norm is its trace: it splits into 1x1 blocks.
 
     Returns one (count, s, s) array of flat member indices per distinct
     block of size s, sizes ascending, and the gather that takes the
@@ -140,45 +143,57 @@ def _block_plan(pattern: bytes, dim: int, subsets: tuple[tuple[int, ...], ...]):
     others, in that order) to subset-major order, dim values per subset.
     """
     nonzero = np.unpackbits(np.frombuffer(pattern, np.uint8), count=dim * dim).astype(bool)
-    index = np.stack([_transpose_map(dim, subset) for subset in subsets])
+    index, masks = _transpose_maps(dim, subsets)
     adj = nonzero[index]
     adj |= adj.transpose(0, 2, 1)
-    label = np.broadcast_to(np.arange(dim), (len(subsets), dim))
+    # nodes are labelled by their positions k * dim + node
+    label = np.arange(len(subsets) * dim).reshape(len(subsets), dim)
     while True:
         new = np.where(adj, label[:, None, :], label[:, :, None]).min(axis=2)
-        new = np.take_along_axis(new, new, axis=1)
+        new = new.ravel()[new]
         if np.array_equal(new, label):
             break
         label = new
-    # positions k * dim + node, grouped by component in (subset, root, node) order
-    comp = (label + dim * np.arange(len(subsets))[:, None]).ravel()
+    # positions grouped by component in (subset, root, node) order
+    comp = label.ravel()
     pos = np.argsort(comp, kind="stable")
-    first = np.flatnonzero(np.diff(comp[pos], prepend=-1))
+    start = np.diff(comp[pos], prepend=-1) != 0
+    if split:
+        first = np.flatnonzero(start)
+        # dim is a power of two, so pos ^ comp[pos] is node ^ root
+        varying = np.bitwise_or.reduceat(pos ^ comp[pos], first)
+        moved = varying & masks[pos[first] // dim]
+        start |= np.repeat((moved == 0) | (moved == varying), np.diff(first, append=comp.size))
+    first = np.flatnonzero(start)
     size = np.diff(first, append=comp.size)
     blocks, owner, source, offset = [], [], [], 0
     for s in np.flatnonzero(np.bincount(size)):
         k, node = np.divmod(pos[first[size == s][:, None] + np.arange(s)], dim)
         gather = index[k[:, :, None], node[:, :, None], node[:, None, :]]
-        # a block gathered by several subsets is solved once
-        keys = gather.reshape(len(k), -1).view(np.dtype((np.void, s * s * gather.itemsize)))
-        _, keep, inverse = np.unique(keys[:, 0], return_index=True, return_inverse=True)
-        blocks.append(gather[keep])
+        inverse = np.arange(len(gather))
+        if len(subsets) > 1:
+            # a block gathered by several subsets is solved once
+            keys = gather.reshape(len(k), -1).view(np.dtype((np.void, s * s * gather.itemsize)))
+            _, keep, inverse = np.unique(keys[:, 0], return_index=True, return_inverse=True)
+            gather = gather[keep]
+        blocks.append(gather)
         owner.append(k.ravel())
         source.append(offset + (inverse[:, None] * s + np.arange(s)).ravel())
-        offset += len(keep) * s
+        offset += len(gather) * s
     order = np.argsort(np.concatenate(owner), kind="stable")
     return blocks, np.concatenate(source)[order]
 
 
-def _spectral_sums(stack: np.ndarray, subsets, term) -> np.ndarray:
+def _spectral_sums(stack: np.ndarray, subsets, term, split: bool) -> np.ndarray:
     """Per member and subset, the sum of term(lam) over the partial transpose's eigenvalues.
 
     `stack` is (B, d, d) and `term` must map 0 to 0.  Each member is split
     by its own nonzero pattern: entries outside a block are exact zeros,
     so a matrix's spectrum is the union of its blocks' spectra, and only
-    blocks of size two or more go through eigvalsh.  Members are grouped
-    by pattern, so every member gets bitwise the value it gets alone.
-    Returns a (B, len(subsets)) array.
+    blocks of size two or more go through eigvalsh, or, with `split`, for
+    term = abs, those not positive by construction (see _block_plan).
+    Members are grouped by pattern, so every member gets bitwise the value
+    it gets alone.  Returns a (B, len(subsets)) array.
     """
     count, dim = len(stack), stack.shape[-1]
     flat = stack.reshape(count, dim * dim)
@@ -187,7 +202,7 @@ def _spectral_sums(stack: np.ndarray, subsets, term) -> np.ndarray:
         groups.setdefault(key.tobytes(), []).append(i)
     sums = np.empty((count, len(subsets)))
     for key, members in groups.items():
-        blocks, layout = _block_plan(key, dim, subsets)
+        blocks, layout = _block_plan(key, dim, subsets, split)
         rows = flat[members]
         vals = []
         for index in blocks:

@@ -8,7 +8,10 @@ them, through the public gate kernels of `mixshor.circuit`
 the engines' block forms replace.  `sector_distribution` is a closed
 form instead, the oracle of the mixed-control outcome distribution, and
 `run_rng` is numpy's generator of a Monte Carlo run's stream, the one
-the vectorized draw of the sweeps must equal.
+the vectorized draw of the sweeps must equal.  `reference_block_plan`
+is the block plan of the entanglement measures before it summed
+positive blocks by their diagonal: it solves every block, one plan per
+call.
 """
 
 import numpy as np
@@ -219,3 +222,59 @@ def sector_distribution(inst, kind, eps):
             p *= 0.5 * (1 + sign * (1 - 2 * eps) * np.cos(2 * np.pi * beta))
         probs += mass * p
     return probs
+
+
+def _transpose_map(dim: int, subset: tuple[int, ...]) -> np.ndarray:
+    """(dim, dim) flat indices: member.ravel()[map] is its partial transpose over `subset`."""
+    index = np.arange(dim * dim)
+    if subset:
+        m = dim.bit_length() - 1
+        axes = list(range(2 * m))
+        for q in subset:
+            axes[q], axes[m + q] = axes[m + q], axes[q]
+        index = index.reshape((2,) * (2 * m)).transpose(axes)
+    return index.reshape(dim, dim)
+
+
+def reference_block_plan(pattern: bytes, dim: int, subsets: tuple[tuple[int, ...], ...]):
+    """Gather indices of the independent blocks of a sparsity pattern's partial transposes.
+
+    The form of entanglement._block_plan without `split`: every block of
+    two or more entries is solved, and blocks are deduped across subsets
+    by np.unique even when there is one subset.  The blocks of a
+    transposed pattern are the connected components of its graph: every
+    node takes the smallest label among itself and its neighbours, then
+    the label of its label, until nothing changes.  Returns one (count,
+    s, s) array of flat member indices per distinct block of size s,
+    sizes ascending, and the gather that takes the blocks' values to
+    subset-major order, dim values per subset.
+    """
+    nonzero = np.unpackbits(np.frombuffer(pattern, np.uint8), count=dim * dim).astype(bool)
+    index = np.stack([_transpose_map(dim, subset) for subset in subsets])
+    adj = nonzero[index]
+    adj |= adj.transpose(0, 2, 1)
+    label = np.broadcast_to(np.arange(dim), (len(subsets), dim))
+    while True:
+        new = np.where(adj, label[:, None, :], label[:, :, None]).min(axis=2)
+        new = np.take_along_axis(new, new, axis=1)
+        if np.array_equal(new, label):
+            break
+        label = new
+    # positions k * dim + node, grouped by component in (subset, root, node) order
+    comp = (label + dim * np.arange(len(subsets))[:, None]).ravel()
+    pos = np.argsort(comp, kind="stable")
+    first = np.flatnonzero(np.diff(comp[pos], prepend=-1))
+    size = np.diff(first, append=comp.size)
+    blocks, owner, source, offset = [], [], [], 0
+    for s in np.flatnonzero(np.bincount(size)):
+        k, node = np.divmod(pos[first[size == s][:, None] + np.arange(s)], dim)
+        gather = index[k[:, :, None], node[:, :, None], node[:, None, :]]
+        # a block gathered by several subsets is solved once
+        keys = gather.reshape(len(k), -1).view(np.dtype((np.void, s * s * gather.itemsize)))
+        _, keep, inverse = np.unique(keys[:, 0], return_index=True, return_inverse=True)
+        blocks.append(gather[keep])
+        owner.append(k.ravel())
+        source.append(offset + (inverse[:, None] * s + np.arange(s)).ravel())
+        offset += len(keep) * s
+    order = np.argsort(np.concatenate(owner), kind="stable")
+    return blocks, np.concatenate(source)[order]

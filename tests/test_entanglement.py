@@ -2,17 +2,41 @@ import numpy as np
 
 import pytest
 
-from mixshor import densemat
+from mixshor import densemat, entanglement
 from mixshor.entanglement import (
     CLAMP_TOL,
     average_log_negativity,
     bipartitions,
-    is_ppt,
     log_negativity,
     mixedness,
 )
 
 from conftest import basis_density, bell_state, ghz_state, haar_unitary, random_density_matrix
+from reference import reference_block_plan
+
+
+def is_ppt(rho: np.ndarray, partition) -> bool:
+    """True when the partial transpose has no eigenvalue below -1e-10.
+
+    A positive partial transpose is necessary (not sufficient) for
+    separability, so is_ppt=False certifies entanglement while
+    is_ppt=True certifies nothing.
+    """
+    vals = densemat.hermitian_eigenvalues(densemat.partial_transpose(rho, partition))
+    return bool(vals[-1] >= -1e-10)
+
+
+def count_eigvalsh(monkeypatch) -> list[tuple[int, ...]]:
+    """Patch np.linalg.eigvalsh to record the shape of every stack it is given."""
+    shapes = []
+    solve = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return shapes
 
 
 class TestBipartitions:
@@ -220,3 +244,54 @@ class TestSparsityBlocks:
         got = mixedness(stack)
         assert np.max(np.abs(got - [self._dense_entropy(rho) for rho in stack])) < 1e-12
         assert np.array_equal(got, [mixedness(rho) for rho in stack])
+
+
+class TestPositiveBlocks:
+    # a block of a partial transpose over which the transposed qubits vary
+    # on none, or on all, of the qubits that vary over it is a principal
+    # submatrix of the state, or its transpose, so it is positive and its
+    # trace norm is read off its diagonal; any other block is solved, and
+    # the entropy solves every block
+    @pytest.mark.parametrize("qubit", [0, 1])
+    def test_coherence_within_one_qubit_is_not_solved(self, qubit, monkeypatch, rng):
+        # qubit 1 is transposed by the one cut of two qubits, qubit 0 is not
+        coherent, fixed = random_density_matrix(2, rng), basis_density(2, 1)
+        rho = densemat.kron(coherent, fixed) if qubit == 0 else densemat.kron(fixed, coherent)
+        shapes = count_eigvalsh(monkeypatch)
+        assert average_log_negativity(rho) == 0.0
+        assert shapes == []
+
+    def test_bell_state_solves_its_one_block(self, monkeypatch):
+        shapes = count_eigvalsh(monkeypatch)
+        assert abs(average_log_negativity(bell_state()) - 1.0) < 1e-12
+        assert [shape[-3:] for shape in shapes] == [(1, 2, 2)]
+
+    def test_entropy_solves_a_block_positive_by_construction(self, monkeypatch, rng):
+        rho = densemat.kron(random_density_matrix(2, rng), basis_density(2, 1))
+        want = TestSparsityBlocks._dense_entropy(rho)
+        shapes = count_eigvalsh(monkeypatch)
+        assert abs(mixedness(rho) - want) < 1e-12
+        assert [shape[-3:] for shape in shapes] == [(1, 2, 2)]
+
+    @pytest.mark.parametrize("dim", [4, 8, 16, 32, 64])
+    def test_plan_matches_reference_plan(self, dim, monkeypatch, rng):
+        # the fast plan against the one it replaced: sums of |lam| over the
+        # cuts within round-off when split and bitwise when not, the
+        # entropy's identity subset bitwise, and fewer matrices solved
+        stack = TestSparsityBlocks()._stack(dim, rng)
+        cuts = bipartitions(densemat.num_qubits(stack[0]))
+        runs = [(cuts, np.abs, True), (cuts, np.abs, False), (((),), entanglement._plogp, False)]
+        shapes = count_eigvalsh(monkeypatch)
+        got = [entanglement._spectral_sums(stack, *run) for run in runs]
+        solved = sum(np.prod(shape[:-2]) for shape in shapes)
+
+        def unsplit_reference(key, d, subsets, split):
+            return reference_block_plan(key, d, subsets)
+
+        monkeypatch.setattr(entanglement, "_block_plan", unsplit_reference)
+        shapes.clear()
+        want = [entanglement._spectral_sums(stack, *run) for run in runs]
+        assert np.max(np.abs(got[0] - want[0]) / want[0]) < 1e-13
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
+        assert solved < sum(np.prod(shape[:-2]) for shape in shapes)
