@@ -12,8 +12,9 @@ A run reads its base a only through the stage multipliers
 a^(2^(L-1-s)) mod N (stage_multipliers), and each multiplier has one
 cached, read-only work-index gather (_work_permutation).  Both engines
 run a stage on the four (d/2, d/2) control blocks of each member's work
-block (_stage_blocks); the full-state functions (initial_state,
-stage_gates, reprepare_control) are their reference.
+block (_stage_blocks), but at Monte Carlo's stages whose multiplier is
+1 (_sample_bits); the full-state functions (initial_state, stage_gates,
+reprepare_control) are their reference.
 """
 
 from __future__ import annotations
@@ -306,10 +307,21 @@ def _outcomes(block0: np.ndarray, block1: np.ndarray):
     live raises.  Returns p0, p1, live0, live1.
     """
     p0, p1 = (np.real(np.diagonal(b, axis1=-2, axis2=-1)).sum(axis=-1) for b in (block0, block1))
+    return (p0, p1, *_live(p0, p1))
+
+
+def _live(p0: np.ndarray, p1: np.ndarray):
+    """The dead-branch rule on the outcome probabilities: returns live0, live1, or raises."""
     live0, live1 = ~(p0 < DEAD_BRANCH_TOL), ~(p1 < DEAD_BRANCH_TOL)
     if not np.all(live0 | live1):
         raise ValueError("both measurement outcomes have zero probability")
-    return p0, p1, live0, live1
+    return live0, live1
+
+
+def _sample_bits(p0: np.ndarray, p1: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The bit rule: run i takes 0 when draws[i] < p0, and never a dead outcome (_live)."""
+    live0, live1 = _live(p0, p1)
+    return np.where(~live1 | (live0 & (draws < p0)), 0, 1)
 
 
 def _normalize(kept: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -348,13 +360,13 @@ def sample_control(block0: np.ndarray, block1: np.ndarray, draws: np.ndarray):
     `block0` and `block1` are the (B, d/2, d/2) stacks of the (0, 0) and
     (1, 1) work blocks of the control: nothing else of a state enters
     its measurement.  Run i takes outcome 0 when draws[i] < p0, by the
-    rules of _outcomes: a dead outcome is never chosen, and a state with
-    neither outcome live raises.  Returns the outcome bits and the kept
-    blocks, normalized as by measure_control: the stack of sigma in
+    rules of _sample_bits: a dead outcome is never chosen, and a state
+    with neither outcome live raises.  Returns the outcome bits and the
+    kept blocks, normalized as by measure_control: the stack of sigma in
     |bit><bit| (x) sigma.
     """
-    p0, p1, live0, live1 = _outcomes(block0, block1)
-    bits = np.where(~live1 | (live0 & (draws < p0)), 0, 1)
+    p0, p1, _, _ = _outcomes(block0, block1)
+    bits = _sample_bits(p0, p1, draws)
     kept = np.where(bits[:, None, None] == 0, block0, block1)
     return bits, _normalize(kept, np.where(bits, p1, p0))
 

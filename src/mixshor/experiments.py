@@ -10,6 +10,8 @@ keep each member's work block between stages and run a stage on the
 four control blocks of circuit._stage_blocks, in chunks of a fixed byte
 budget per member of the largest stacked array they hold: the tree forms
 (B, d, d) post-gate states, Monte Carlo only the (B, d/2, d/2) blocks.
+Monte Carlo forms none at a stage whose multiplier is 1, where the
+control's bit is a coin drawn in closed form.
 Monte Carlo run i draws only from its own (seed, i) stream, so its
 outcome does not depend on which runs share its chunk.
 """
@@ -423,6 +425,12 @@ def _run_steps(
     work qubit's commutes with every step on the control, the
     measurement included: one hit after any gate of the stage gets its
     channel once, on the kept sigma.
+
+    A stage whose multiplier is 1 forms no blocks: its multiplication is
+    the identity, so measuring keeps sigma, and circuit._sample_bits
+    draws the bit from p0, p1 = (1 +- kappa cos 2 pi theta_s) / 2, with
+    kappa 0 for a run whose control is hit before the Hadamard or by a
+    Pauli channel after it, and 1 otherwise.
     """
     runs = uniforms.shape[0]
     noisy = _noisy_qubits(inst, cfg)
@@ -434,23 +442,33 @@ def _run_steps(
     sigma = np.broadcast_to(work, (runs,) + work.shape)
     outcome = np.zeros(runs, dtype=np.int64)
     first = 0
-    for s in range(inst.L):
+    for s, multiplier in enumerate(circuit.stage_multipliers(inst)):
         gates = 3 if s else 2  # cu and h, with the phase between them from stage 1 on
         last = first + gates * noisy
         hits = uniforms[:, first:last].reshape(runs, gates, noisy) < prob
         draws = uniforms[:, last]
         first = last + 1
-        a, b, c, d = circuit._stage_blocks(sigma, inst, s, outcome)
-        del sigma  # at most five (B, d/2, d/2) stacks are held at once
-        if control:
-            _control_channel(cfg.kind, hits[:, :-1, 0].any(axis=1), (a, d), (b, c))
-        top, bottom = circuit._hadamard_diagonal(a, b, c, d)
-        del a, b, c, d
-        if control:
-            _control_channel(cfg.kind, hits[:, -1, 0], (top, bottom), ())
-        bit, sigma = circuit.sample_control(top, bottom, draws)
-        del top, bottom
-        for q, hit in enumerate(hits[:, :, -inst.n :].any(axis=1).T):
+        work_hits = hits[:, :, -inst.n :].any(axis=1)
+        if multiplier == 1:
+            bias = np.cos(2 * np.pi * circuit._phase_angle(outcome, s))
+            if control:  # a hit before the Hadamard, or a Pauli hit after it
+                lost = hits[:, :-1, 0] if measurement else hits[:, :, 0]
+                bias[lost.any(axis=1)] = 0.0
+            bit = circuit._sample_bits(0.5 * (1.0 + bias), 0.5 * (1.0 - bias), draws)
+            if work_hits.any():
+                sigma = sigma.copy()  # a yielded sigma, or the read-only stage-0 broadcast
+        else:
+            a, b, c, d = circuit._stage_blocks(sigma, inst, s, outcome)
+            del sigma  # at most five (B, d/2, d/2) stacks are held at once
+            if control:
+                _control_channel(cfg.kind, hits[:, :-1, 0].any(axis=1), (a, d), (b, c))
+            top, bottom = circuit._hadamard_diagonal(a, b, c, d)
+            del a, b, c, d
+            if control:
+                _control_channel(cfg.kind, hits[:, -1, 0], (top, bottom), ())
+            bit, sigma = circuit.sample_control(top, bottom, draws)
+            del top, bottom
+        for q, hit in enumerate(work_hits.T):
             if hit.any():
                 sigma[hit] = channel(sigma[hit], q)
         outcome |= bit << s

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from mixshor import circuit, densemat, entanglement, experiments
+from mixshor import circuit, densemat, entanglement, experiments, noise
 from mixshor.circuit import InitialStateKind, build_instance, initial_state, reference_distribution
 from mixshor.entanglement import (
     CLAMP_TOL,
@@ -62,6 +62,29 @@ def _single_steps(inst, kind, epsilon):
     for owners, point, probs, states, c in experiments._tree_steps((inst,), kind, epsilon):
         assert owners == (0,)
         yield point, probs, states, c
+
+
+def _block_stage(inst, cfg, s, sigma, outcome, hits, draws):
+    """Stage s of _run_steps on the four control blocks, as at a multiplier other than 1.
+
+    Returns p0, the trace of the Hadamard's top block after the control
+    noise, with the bits and kept work blocks measured from `draws` and
+    the work qubits' channels applied to the runs they hit.
+    """
+    a, b, c, d = circuit._stage_blocks(sigma, inst, s, outcome)
+    control = hits.shape[2] == inst.m
+    if control:
+        experiments._control_channel(cfg.kind, hits[:, :-1, 0].any(axis=1), (a, d), (b, c))
+    top, bottom = circuit._hadamard_diagonal(a, b, c, d)
+    if control:
+        experiments._control_channel(cfg.kind, hits[:, -1, 0], (top, bottom), ())
+    p0 = np.real(np.trace(top, axis1=1, axis2=2))
+    bits, kept = circuit.sample_control(top, bottom, draws)
+    channel = noise.dephase_qubit if cfg.kind == MEASUREMENT else noise.depolarize_qubit
+    for q, hit in enumerate(hits[:, :, -inst.n :].any(axis=1).T):
+        if hit.any():
+            kept[hit] = channel(kept[hit], q)
+    return p0, bits, kept
 
 
 class TestTreeProfile:
@@ -520,6 +543,74 @@ class TestMonteCarlo:
                                 assert bits[run] == bit, where
                                 assert np.max(np.abs(sigma[run] - expected)) <= 1e-12, where
                         assert s == inst.L - 1
+
+    @pytest.mark.parametrize("N, a", [(15, 2), (10, 3), (21, 8)])
+    def test_closed_form_stages_match_the_block_stage(self, N, a, monkeypatch):
+        # every stage whose multiplier is 1 draws its bit in closed form;
+        # from the sigma and outcomes it was handed, the block stage reads
+        # the same p0 and, from the same draws, the same bits and sigma
+        runs, seed = 12, 29
+        inst = build_instance(N, a)
+        ones = [s for s, k in enumerate(circuit.stage_multipliers(inst)) if k == 1]
+        assert len(ones) == {(15, 2): 6, (10, 3): 6, (21, 8): 9}[(N, a)]
+        sample_bits = circuit._sample_bits
+        cases = itertools.product((PURE, MIXED_N), (PAULI, MEASUREMENT), (False, True))
+        for (kind, channel, exclude), prob in itertools.product(cases, (0.0, 0.3, 1.0)):
+            cfg = NoiseConfig(channel, prob, exclude)
+            noisy = experiments._noisy_qubits(inst, cfg)
+            draws = experiments._draws_per_run(inst, cfg)
+            uniforms = np.stack([run_rng(seed, run).random(draws) for run in range(runs)])
+            p0s = []
+
+            def recorded(p0, p1, u):
+                p0s.append(p0)
+                return sample_bits(p0, p1, u)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(circuit, "_sample_bits", recorded)
+                steps = list(experiments._run_steps(inst, kind, cfg, uniforms))
+            assert len(p0s) == inst.L
+            work = np.diag(circuit.work_distribution(inst, kind)).astype(complex)
+            sigma = np.broadcast_to(work, (runs,) + work.shape)
+            outcome = np.zeros(runs, dtype=np.int64)
+            first = 0
+            for s, (bits, kept) in enumerate(steps):
+                gates = 3 if s else 2
+                hits = uniforms[:, first : first + gates * noisy] < prob
+                u = uniforms[:, first + gates * noisy]
+                first += gates * noisy + 1
+                if s in ones:
+                    hits = hits.reshape(runs, gates, noisy)
+                    p0, expected, block_sigma = _block_stage(inst, cfg, s, sigma, outcome, hits, u)
+                    where = (kind, channel, exclude, prob, s)
+                    assert np.max(np.abs(p0s[s] - p0)) <= 1e-15, where
+                    assert np.array_equal(bits, expected), where
+                    assert np.max(np.abs(kept - block_sigma)) <= 1e-15, where
+                sigma = kept
+                outcome |= bits << s
+
+    @pytest.mark.parametrize(
+        "N, a, runs, chunks, stages",
+        [(15, 2, 100, 4, [6, 7]), (21, 2, 20, 3, list(range(10))), (21, 8, 20, 3, [9])],
+    )
+    def test_blocks_formed_only_at_stages_whose_multiplier_is_not_1(
+        self, N, a, runs, chunks, stages, monkeypatch
+    ):
+        # a count of work, the same on every machine: one sweep over two
+        # grid points forms the control blocks of each chunk once at each
+        # stage whose multiplier is not 1, and at no other stage
+        inst = build_instance(N, a)
+        assert stages == [s for s, k in enumerate(circuit.stage_multipliers(inst)) if k != 1]
+        calls = []
+        stage_blocks = circuit._stage_blocks
+
+        def counted(sigma, inst, s, outcome, epsilon=0.0):
+            calls.append(s)
+            return stage_blocks(sigma, inst, s, outcome, epsilon)
+
+        monkeypatch.setattr(circuit, "_stage_blocks", counted)
+        monte_carlo_sweep(inst, PURE, PAULI, [0.1, 0.3], runs, exclude_control=False, seed=1)
+        assert calls == stages * (2 * chunks)
 
     def test_runs_across_a_chunk_boundary_match_runs_stepped_alone(self, monkeypatch):
         # 37 runs at d = 32 step as chunks of 32 and 5; each run's outcome

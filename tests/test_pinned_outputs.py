@@ -48,6 +48,24 @@ def test_noise15_success_counts(seed, channel):
     assert [r.successes for r in rows] == NOISE15[seed][channel]
 
 
+# (N, a, kind, channel): per seed, the success counts at p = 0.1 and 0.3 of
+# 50 runs, control not excluded, recorded while every stage still formed
+# its control blocks.  (10, 3) has multiplier 1 on 6 of its 8 stages, and
+# (21, 8), of order 2, on 9 of its 10, on 32-dimensional work blocks
+SWEEPS = {
+    (10, 3, MIXED_N, "pauli"): {1: [11, 4], 2: [8, 6]},
+    (21, 8, PURE, "measurement"): {1: [18, 5], 2: [16, 11]},
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("N, a, kind, channel", list(SWEEPS))
+def test_sweep_success_counts(N, a, kind, channel, seed):
+    inst = build_instance(N, a)
+    rows = monte_carlo_sweep(inst, kind, channel, [0.1, 0.3], 50, exclude_control=False, seed=seed)
+    assert [r.successes for r in rows] == SWEEPS[(N, a, kind, channel)][seed]
+
+
 # (kind, epsilon): whole-run average entanglement, last mixedness, exact success probability
 TREE_15_2 = {
     (PURE, 0.0): (0.21726865155855707, 0.0, 0.5),
