@@ -13,8 +13,10 @@ a^(2^(L-1-s)) mod N (stage_multipliers), and each multiplier has one
 cached, read-only work-index gather (_work_permutation).  Both engines
 run a stage on the four (d/2, d/2) control blocks of each member's work
 block (_stage_blocks), but at Monte Carlo's stages whose multiplier is
-1 (_sample_bits); the full-state functions (initial_state, stage_gates,
-reprepare_control) are their reference.
+1 (_sample_bits).  The tree's mixing epsilon and Monte Carlo's control
+noise are one coherence factor on the off-diagonal control blocks.  The
+full-state functions (initial_state, stage_gates, reprepare_control)
+are their reference.
 """
 
 from __future__ import annotations
@@ -237,28 +239,28 @@ def stage_gates(inst: ShorInstance, s: int, bits):
     return ops
 
 
-def _stage_blocks(sigma: np.ndarray, inst: ShorInstance, s: int, outcome, epsilon: float = 0.0):
+def _stage_blocks(sigma: np.ndarray, inst: ShorInstance, s: int, outcome, coherence=1.0):
     """The four control blocks of stage s up to its Hadamard, from each member's work block.
 
     The stage step of both steppers, bit for bit the full-state gates of
-    stage_gates.  The control is prepared toward |+> mixed by epsilon, as
-    by plus_control; the controlled multiplication permutes the work
-    indices of the control-1 side, and from stage 1 the phase correction,
-    read off each member's outcome c so far by _phase_angle, turns the
-    off-diagonal blocks.  Returns the C-contiguous (0, 0), (0, 1), (1, 0)
-    and (1, 1) blocks a, b, c, d.
+    stage_gates.  The control is prepared toward |+> with coherence kappa,
+    a scalar or one value per member, on the off-diagonal blocks b and c:
+    1 - 2 epsilon for plus_control's mixing by epsilon, 0 for a control
+    that noise has dephased.  The controlled multiplication permutes the
+    work indices of the control-1 side, and from stage 1 the phase
+    correction, read off each member's outcome c so far by _phase_angle,
+    turns the off-diagonal blocks.  Returns the C-contiguous (0, 0),
+    (0, 1), (1, 0) and (1, 1) blocks a, b, c, d.
     """
-    if not 0.0 <= epsilon <= 0.5:
-        raise ValueError(f"epsilon={epsilon} outside [0, 1/2]")
     perm = _work_permutation(inst.N, inst.n, stage_multipliers(inst)[s])
     a = sigma * 0.5
     # take gathers into C-contiguous blocks; fancy indexing would leave
     # them transposed in memory and every later pass slower
     b, c = a.take(perm, axis=2), a.take(perm, axis=1)
     d = c.take(perm, axis=2)
-    if epsilon:
-        b *= 1.0 - 2.0 * epsilon
-        c *= 1.0 - 2.0 * epsilon
+    if np.any(coherence != 1.0):
+        b *= np.reshape(coherence, (-1, 1, 1))
+        c *= np.reshape(coherence, (-1, 1, 1))
     if s:
         phase = np.exp(-2j * np.pi * _phase_angle(outcome, s))[:, None, None]
         c *= phase
@@ -283,13 +285,13 @@ def _hadamard_diagonal(a, b, c, d):
     return top, a
 
 
-def run_stage_gates(sigma: np.ndarray, inst: ShorInstance, s: int, outcome, epsilon: float = 0.0):
+def run_stage_gates(sigma: np.ndarray, inst: ShorInstance, s: int, outcome, coherence=1.0):
     """The (B, d, d) states after stage s's gates, from each member's work block.
 
-    The blocks of _stage_blocks through the Hadamard, for the members'
-    outcomes c so far (bit k with weight 2^k).  Does not measure.
+    The blocks of _stage_blocks at coherence kappa through the Hadamard,
+    for the members' outcomes c so far (bit k with weight 2^k).
     """
-    a, b, c, d = _stage_blocks(sigma, inst, s, outcome, epsilon)
+    a, b, c, d = _stage_blocks(sigma, inst, s, outcome, coherence)
     half = sigma.shape[-1]
     rho = np.empty((len(a), 2 * half, 2 * half), dtype=a.dtype)
     rho[:, :half, half:] = (a - b + c - d) * 0.5
@@ -299,15 +301,14 @@ def run_stage_gates(sigma: np.ndarray, inst: ShorInstance, s: int, outcome, epsi
 
 
 def _outcomes(block0: np.ndarray, block1: np.ndarray):
-    """p0 and p1 of the control with the dead-branch rule, for one state or a stack.
+    """p0 and p1 of the control, for one state or a stack.
 
     `block0` and `block1` are the (0, 0) and (1, 1) work blocks of the
-    control, whose traces are p0 and p1.  An outcome is live unless its
-    probability is below DEAD_BRANCH_TOL; a state with neither outcome
-    live raises.  Returns p0, p1, live0, live1.
+    control, whose traces are p0 and p1.  Which outcomes are live is
+    _live's to say.
     """
     p0, p1 = (np.real(np.diagonal(b, axis1=-2, axis2=-1)).sum(axis=-1) for b in (block0, block1))
-    return (p0, p1, *_live(p0, p1))
+    return p0, p1
 
 
 def _live(p0: np.ndarray, p1: np.ndarray):
@@ -346,7 +347,8 @@ def measure_control(block0: np.ndarray, block1: np.ndarray):
     order, the normalized blocks (sigma in |bit><bit| (x) sigma) of the
     live members.
     """
-    p0, p1, live0, live1 = _outcomes(block0, block1)
+    p0, p1 = _outcomes(block0, block1)
+    live0, live1 = _live(p0, p1)
 
     def branch(block, p, live):
         return (live, _normalize(block[live], p[live])) if live.any() else None
@@ -365,7 +367,7 @@ def sample_control(block0: np.ndarray, block1: np.ndarray, draws: np.ndarray):
     kept blocks, normalized as by measure_control: the stack of sigma in
     |bit><bit| (x) sigma.
     """
-    p0, p1, _, _ = _outcomes(block0, block1)
+    p0, p1 = _outcomes(block0, block1)
     bits = _sample_bits(p0, p1, draws)
     kept = np.where(bits[:, None, None] == 0, block0, block1)
     return bits, _normalize(kept, np.where(bits, p1, p0))

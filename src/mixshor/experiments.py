@@ -11,7 +11,9 @@ four control blocks of circuit._stage_blocks, in chunks of a fixed byte
 budget per member of the largest stacked array they hold: the tree forms
 (B, d, d) post-gate states, Monte Carlo only the (B, d/2, d/2) blocks.
 Monte Carlo forms none at a stage whose multiplier is 1, where the
-control's bit is a coin drawn in closed form.
+control's bit is a coin drawn in closed form.  Both scale the control's
+off-diagonal blocks by its coherence, for the tree's mixing epsilon and
+Monte Carlo's control noise alike.
 Monte Carlo run i draws only from its own (seed, i) stream, so its
 outcome does not depend on which runs share its chunk.
 """
@@ -122,8 +124,12 @@ def _tree_steps(group, kind: InitialStateKind, epsilon: float):
     (_stage_steps) once for the instances that agree so far, and the walk
     forks where they differ.  Each instance gets exactly the chunks of
     its own walk, in order.  A stage input is held only where the group
-    forks, while the last fork goes on.
+    forks, while the last fork goes on.  Every stage runs at the control's
+    coherence 1 - 2 epsilon, with epsilon checked once, here.
     """
+    if not 0.0 <= epsilon <= 0.5:
+        raise ValueError(f"epsilon={epsilon} outside [0, 1/2]")
+    coherence = 1.0 - 2.0 * epsilon
     inst = group[0]
     sigma = np.diag(circuit.work_distribution(inst, kind)).astype(complex)[None]
     pending = [(tuple(range(len(group))), 0, (sigma, np.ones(1), np.zeros(1, dtype=np.int64)))]
@@ -135,10 +141,10 @@ def _tree_steps(group, kind: InitialStateKind, epsilon: float):
                 forks.setdefault(circuit.stage_multipliers(group[i])[s], []).append(i)
             *held, owners = map(tuple, forks.values())
             pending += ((fork, s, state) for fork in held)
-            state = yield from _stage_steps(group[owners[0]], s, state, owners, epsilon)
+            state = yield from _stage_steps(group[owners[0]], s, state, owners, coherence)
 
 
-def _stage_steps(inst: ShorInstance, s: int, state, owners: tuple, epsilon: float):
+def _stage_steps(inst: ShorInstance, s: int, state, owners: tuple, coherence: float):
     """Step stage s of one node of _tree_steps; returns the next stage's (sigma, probs, c).
 
     Each stage runs the gates of a chunk of at most CHUNK_BYTES of full
@@ -170,7 +176,7 @@ def _stage_steps(inst: ShorInstance, s: int, state, owners: tuple, epsilon: floa
     for lo in range(0, probs.size, chunk):
         part = slice(lo, lo + chunk)
         chunk_probs, chunk_c = probs[part], c[part]
-        rho = circuit.run_stage_gates(sigma[part], inst, s, chunk_c, epsilon)
+        rho = circuit.run_stage_gates(sigma[part], inst, s, chunk_c, coherence)
         yield owners, 2 * s, chunk_probs, rho, chunk_c
         kids = []
         branches = circuit.measure_control(rho[:, :half, :half], rho[:, half:, half:])
@@ -426,18 +432,23 @@ def _run_steps(
     measurement included: one hit after any gate of the stage gets its
     channel once, on the kept sigma.
 
-    A stage whose multiplier is 1 forms no blocks: its multiplication is
-    the identity, so measuring keeps sigma, and circuit._sample_bits
-    draws the bit from p0, p1 = (1 +- kappa cos 2 pi theta_s) / 2, with
-    kappa 0 for a run whose control is hit before the Hadamard or by a
-    Pauli channel after it, and 1 otherwise.
+    The measurement reads the Hadamard's diagonal blocks, which depend
+    only on a + d and b + c, so the control's noise is its coherence kappa
+    on the off-diagonal blocks b and c (circuit._stage_blocks): 0 for a
+    run whose control is hit before the Hadamard, or by a Pauli channel
+    after it, whose I/2 (x) Tr_0 leaves (a + d) / 2 in both, and 1
+    otherwise.  A stage whose multiplier is 1 forms no blocks: its
+    multiplication is the identity, so measuring keeps sigma, and
+    circuit._sample_bits draws the bit from p0, p1 = (1 +- kappa cos 2 pi
+    theta_s) / 2.
     """
     runs = uniforms.shape[0]
     noisy = _noisy_qubits(inst, cfg)
     prob = cfg.prob if noisy else 0.0
-    control = noisy == inst.m
     measurement = noisy and cfg.kind == noise.MEASUREMENT
     channel = noise.dephase_qubit if measurement else noise.depolarize_qubit
+    # a control hit before the Hadamard, or a Pauli hit after it, erases its coherence
+    erasing = slice(-1) if measurement else slice(None)
     work = np.diag(circuit.work_distribution(inst, kind)).astype(complex)
     sigma = np.broadcast_to(work, (runs,) + work.shape)
     outcome = np.zeros(runs, dtype=np.int64)
@@ -449,23 +460,17 @@ def _run_steps(
         draws = uniforms[:, last]
         first = last + 1
         work_hits = hits[:, :, -inst.n :].any(axis=1)
+        coherence = 1.0 - hits[:, erasing, 0].any(axis=1) if noisy == inst.m else 1.0
         if multiplier == 1:
-            bias = np.cos(2 * np.pi * circuit._phase_angle(outcome, s))
-            if control:  # a hit before the Hadamard, or a Pauli hit after it
-                lost = hits[:, :-1, 0] if measurement else hits[:, :, 0]
-                bias[lost.any(axis=1)] = 0.0
+            bias = coherence * np.cos(2 * np.pi * circuit._phase_angle(outcome, s))
             bit = circuit._sample_bits(0.5 * (1.0 + bias), 0.5 * (1.0 - bias), draws)
             if work_hits.any():
                 sigma = sigma.copy()  # a yielded sigma, or the read-only stage-0 broadcast
         else:
-            a, b, c, d = circuit._stage_blocks(sigma, inst, s, outcome)
+            a, b, c, d = circuit._stage_blocks(sigma, inst, s, outcome, coherence)
             del sigma  # at most five (B, d/2, d/2) stacks are held at once
-            if control:
-                _control_channel(cfg.kind, hits[:, :-1, 0].any(axis=1), (a, d), (b, c))
             top, bottom = circuit._hadamard_diagonal(a, b, c, d)
             del a, b, c, d
-            if control:
-                _control_channel(cfg.kind, hits[:, -1, 0], (top, bottom), ())
             bit, sigma = circuit.sample_control(top, bottom, draws)
             del top, bottom
         for q, hit in enumerate(work_hits.T):
@@ -473,19 +478,6 @@ def _run_steps(
                 sigma[hit] = channel(sigma[hit], q)
         outcome |= bit << s
         yield bit, sigma
-
-
-def _control_channel(kind: str, hit: np.ndarray, diagonal, off_diagonal) -> None:
-    """The control's channel on the runs hit, in closed form on their control blocks.
-
-    Dephasing zeroes the off-diagonal blocks; depolarizing, I/2 (x) Tr_0,
-    also puts the mean of the diagonal blocks in both.
-    """
-    for block in off_diagonal:
-        block[hit] = 0.0
-    if kind == noise.PAULI:
-        upper, lower = diagonal
-        upper[hit] = lower[hit] = (upper[hit] + lower[hit]) * 0.5
 
 
 def run_trajectory(

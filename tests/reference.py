@@ -19,6 +19,7 @@ import numpy as np
 from mixshor.circuit import (
     DEAD_BRANCH_TOL,
     ComputerState,
+    _live,
     _outcomes,
     initial_state,
     plus_control,
@@ -55,7 +56,8 @@ def measure_control(state: ComputerState):
     """
     rho = state.rho
     half = rho.shape[-1] // 2
-    p0, p1, live0, live1 = _outcomes(rho[..., :half, :half], rho[..., half:, half:])
+    p0, p1 = _outcomes(rho[..., :half, :half], rho[..., half:, half:])
+    live0, live1 = _live(p0, p1)
 
     def collapse(bit: int, p, live) -> ComputerState | None:
         live = np.ravel(live)

@@ -372,6 +372,22 @@ class TestSampleControl:
         with pytest.raises(ValueError):
             sample_control(*diagonal_blocks(stack), np.array([0.5, 0.5]))
 
+    def test_dead_branch_rule_evaluated_once(self, rng, monkeypatch):
+        # each measurement of a stack decides once which outcomes are live
+        calls = []
+        live = circuit._live
+
+        def counted(p0, p1):
+            calls.append(len(p0))
+            return live(p0, p1)
+
+        monkeypatch.setattr(circuit, "_live", counted)
+        blocks = diagonal_blocks(np.stack([random_density_matrix(8, rng) for _ in range(5)]))
+        sample_control(*blocks, rng.random(5))
+        assert calls == [5]
+        circuit.measure_control(*blocks)
+        assert calls == [5, 5]
+
     def test_matches_measure_and_reprepare(self, rng):
         states = [random_density_matrix(8, rng) for _ in range(6)]
         draws = rng.random(6)

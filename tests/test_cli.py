@@ -272,6 +272,13 @@ class TestValidation:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("eps", ["0.6", "-0.1", "nan", "inf"])
+    def test_bad_profile_epsilon_exits_2(self, eps, tmp_path):
+        out = tmp_path / "x.csv"
+        code = run_cli("profile", "--n", "15", "--a", "2", f"--epsilon={eps}", "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["0:inf:0.1", "nan:0.5:0.1", "0.5:0:0.1", "nan", ","])
     def test_bad_noise_grid_exits_2(self, grid, tmp_path):
         out = tmp_path / "x.csv"

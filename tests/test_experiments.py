@@ -64,20 +64,46 @@ def _single_steps(inst, kind, epsilon):
         yield point, probs, states, c
 
 
+def _control_channel(kind, hit, diagonal, off_diagonal):
+    """The control's channel on the runs hit, explicitly on their control blocks.
+
+    Dephasing zeroes the off-diagonal blocks; depolarizing, I/2 (x) Tr_0,
+    also puts the mean of the diagonal blocks in both.  The engine states
+    both as the control's coherence instead, 0 on the runs whose
+    measurement the channel reaches.
+    """
+    for block in off_diagonal:
+        block[hit] = 0.0
+    if kind == PAULI:
+        upper, lower = diagonal
+        upper[hit] = lower[hit] = (upper[hit] + lower[hit]) * 0.5
+
+
+def _explicit_diagonal(inst, kind, s, sigma, outcome, hits):
+    """The Hadamard's diagonal blocks of stage s with the control noise of `hits` applied explicitly.
+
+    `hits` is the (B, gates) control column of a stage's hits: the
+    channel on the blocks before the Hadamard for a hit after the
+    multiplication or the phase, and on the diagonal blocks after it for
+    a hit after the Hadamard.
+    """
+    a, b, c, d = circuit._stage_blocks(sigma, inst, s, outcome)
+    _control_channel(kind, hits[:, :-1].any(axis=1), (a, d), (b, c))
+    top, bottom = circuit._hadamard_diagonal(a, b, c, d)
+    _control_channel(kind, hits[:, -1], (top, bottom), ())
+    return top, bottom
+
+
 def _block_stage(inst, cfg, s, sigma, outcome, hits, draws):
     """Stage s of _run_steps on the four control blocks, as at a multiplier other than 1.
 
+    The control noise is the explicit channel of _explicit_diagonal.
     Returns p0, the trace of the Hadamard's top block after the control
     noise, with the bits and kept work blocks measured from `draws` and
     the work qubits' channels applied to the runs they hit.
     """
-    a, b, c, d = circuit._stage_blocks(sigma, inst, s, outcome)
-    control = hits.shape[2] == inst.m
-    if control:
-        experiments._control_channel(cfg.kind, hits[:, :-1, 0].any(axis=1), (a, d), (b, c))
-    top, bottom = circuit._hadamard_diagonal(a, b, c, d)
-    if control:
-        experiments._control_channel(cfg.kind, hits[:, -1, 0], (top, bottom), ())
+    control = hits[:, :, 0] if hits.shape[2] == inst.m else np.zeros(hits.shape[:2], dtype=bool)
+    top, bottom = _explicit_diagonal(inst, cfg.kind, s, sigma, outcome, control)
     p0 = np.real(np.trace(top, axis1=1, axis2=2))
     bits, kept = circuit.sample_control(top, bottom, draws)
     channel = noise.dephase_qubit if cfg.kind == MEASUREMENT else noise.depolarize_qubit
@@ -589,6 +615,51 @@ class TestMonteCarlo:
                 sigma = kept
                 outcome |= bits << s
 
+    @pytest.mark.parametrize("N, a", [(15, 2), (21, 2)])
+    @pytest.mark.parametrize("channel", [PAULI, MEASUREMENT])
+    def test_coherence_equals_the_explicit_control_channel(self, N, a, channel, monkeypatch):
+        # the coherence _run_steps hands each block stage against the
+        # explicit channel on the blocks of the sigma it steps there: runs
+        # 0..3 have their control hit, at every stage, after no gate, after
+        # the multiplication, after the Hadamard, and after both.  Bitwise
+        # equal, but for a Pauli hit after the Hadamard alone, where the
+        # engine reads (a + d) / 2 for the mean of top and bottom
+        inst = build_instance(N, a)
+        cfg = NoiseConfig(channel, 0.5)
+        uniforms = np.full((4, experiments._draws_per_run(inst, cfg)), 0.75)
+        control_hits, first = [], 0
+        for s in range(inst.L):
+            gates = 3 if s else 2
+            hit = np.zeros((4, gates), dtype=bool)
+            hit[[1, 3], 0] = hit[[2, 3], -1] = True
+            uniforms[:, first : first + gates * inst.m : inst.m] = np.where(hit, 0.0, 0.75)
+            control_hits.append(hit)
+            first += gates * inst.m + 1
+        stage_blocks = circuit._stage_blocks
+        for kind in (PURE, MIXED_N):
+            recorded = []
+
+            def recording(sigma, inst, s, outcome, coherence=1.0):
+                recorded.append((sigma, s, outcome.copy(), coherence))
+                return stage_blocks(sigma, inst, s, outcome, coherence)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(circuit, "_stage_blocks", recording)
+                for _ in experiments._run_steps(inst, kind, cfg, uniforms):
+                    pass
+            stages = [s for s, k in enumerate(circuit.stage_multipliers(inst)) if k != 1]
+            assert [s for _, s, _, _ in recorded] == stages
+            for sigma, s, outcome, coherence in recorded:
+                got = circuit._hadamard_diagonal(*stage_blocks(sigma, inst, s, outcome, coherence))
+                expected = _explicit_diagonal(inst, channel, s, sigma, outcome, control_hits[s])
+                for block, reference in zip(got, expected):
+                    for run in range(4):
+                        where = (kind, s, run)
+                        if channel == PAULI and run == 2:
+                            assert np.max(np.abs(block[run] - reference[run])) <= 1e-15, where
+                        else:
+                            assert np.array_equal(block[run], reference[run]), where
+
     @pytest.mark.parametrize(
         "N, a, runs, chunks, stages",
         [(15, 2, 100, 4, [6, 7]), (21, 2, 20, 3, list(range(10))), (21, 8, 20, 3, [9])],
@@ -604,9 +675,9 @@ class TestMonteCarlo:
         calls = []
         stage_blocks = circuit._stage_blocks
 
-        def counted(sigma, inst, s, outcome, epsilon=0.0):
+        def counted(sigma, inst, s, outcome, coherence=1.0):
             calls.append(s)
-            return stage_blocks(sigma, inst, s, outcome, epsilon)
+            return stage_blocks(sigma, inst, s, outcome, coherence)
 
         monkeypatch.setattr(circuit, "_stage_blocks", counted)
         monte_carlo_sweep(inst, PURE, PAULI, [0.1, 0.3], runs, exclude_control=False, seed=1)
@@ -716,6 +787,27 @@ class TestMixSweep:
         inst = build_instance(15, 2)
         with pytest.raises(ValueError):
             mix_sweep(inst, PURE, [0.7])
+
+    @pytest.mark.parametrize("eps", [0.6, -0.1, float("nan"), float("inf")])
+    def test_tree_checks_epsilon_before_any_stage(self, eps, monkeypatch):
+        # epsilon is checked once per tree, before any stage forms its
+        # blocks; a valid one steps one chunk at each of the L stages
+        calls = []
+        stage_blocks = circuit._stage_blocks
+
+        def counted(*args):
+            calls.append(args[2])
+            return stage_blocks(*args)
+
+        monkeypatch.setattr(circuit, "_stage_blocks", counted)
+        inst = build_instance(6, 5)
+        with pytest.raises(ValueError, match="epsilon"):
+            tree_profile(inst, PURE, eps)
+        with pytest.raises(ValueError, match="epsilon"):
+            experiments._average_entanglement(inst, PURE, eps)
+        assert calls == []
+        tree_profile(inst, PURE, 0.5)
+        assert calls == list(range(inst.L))
 
 
 class TestSectorOracle:

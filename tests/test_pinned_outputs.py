@@ -8,17 +8,22 @@ format, and a pinned 0 exactly: the entropy of a pure run at eps = 0 is
 reported as 0, not as round-off.
 """
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
 from mixshor.circuit import InitialStateKind, build_instance
 from mixshor.experiments import (
+    _sweep_outcomes,
     ensemble_profile,
     extraction_success_mask,
     find_entanglement_crossing,
     monte_carlo_sweep,
     tree_profile,
 )
+from mixshor.noise import MEASUREMENT, PAULI, NoiseConfig
 
 PURE = InitialStateKind.PURE
 MIXED_N = InitialStateKind.MIXED_N
@@ -64,6 +69,33 @@ def test_sweep_success_counts(N, a, kind, channel, seed):
     inst = build_instance(N, a)
     rows = monte_carlo_sweep(inst, kind, channel, [0.1, 0.3], 50, exclude_control=False, seed=seed)
     assert [r.successes for r in rows] == SWEEPS[(N, a, kind, channel)][seed]
+
+
+# (N, a): sha256 of the outcomes of runs 0..63 under seed 7 at every kind,
+# channel and exclude_control, p = 0, 0.05, 0.3 and 1, recorded while the
+# control's noise was an explicit channel on its blocks; each kind,
+# channel and exclude_control adds one (4, 64) little-endian int64 array
+FINGERPRINTS = {
+    (15, 2): "ea638e9536471d6357d02fe14c17057941dd347162d86cb2e59b76b63350141d",
+    (10, 3): "800e616ba998d0775725874d5614062840022e31569dd13cfd316a8fbf91e464",
+    (21, 8): "a5d57b1f6531c8b29da4674e8ed4d5b20e1debf4da5de735de01d8661c741efc",
+    (21, 2): "11602ee0c01cca5be355084ff7a2892aba89e2f9c5d1ac7c9d613246bf09a491",
+    (9, 8): "2db744731f640baea896606f907f56d841b6d31a1a94aebd4ab827910cf03765",
+    (15, 4): "2200785a95a1e6a6fab4dd2470e20792d995a11c89e3aba94fa215ac36a25f2b",
+    (6, 5): "b35c3888f045bcafb36d66b99ce259dddee8c3c834d36cef2e2253021a2a197e",
+    (26, 5): "c857f3222e78fa14848d8896972826bacd98c685982b01f75c6d6b90d2868214",
+}
+
+
+@pytest.mark.parametrize("N, a", list(FINGERPRINTS))
+def test_sweep_outcome_fingerprints(N, a):
+    inst = build_instance(N, a)
+    digest = hashlib.sha256()
+    cases = itertools.product(InitialStateKind, (PAULI, MEASUREMENT), (False, True))
+    for kind, channel, exclude in cases:
+        configs = [NoiseConfig(channel, p, exclude) for p in (0.0, 0.05, 0.3, 1.0)]
+        digest.update(_sweep_outcomes(inst, kind, configs, 64, 7).astype("<i8").tobytes())
+    assert digest.hexdigest() == FINGERPRINTS[(N, a)]
 
 
 # (kind, epsilon): whole-run average entanglement, last mixedness, exact success probability
