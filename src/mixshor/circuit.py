@@ -39,7 +39,6 @@ __all__ = [
     "stage_multipliers",
     "initial_state",
     "work_distribution",
-    "phase_correction_angle",
     "stage_gates",
     "run_stage_gates",
     "measure_control",
@@ -158,40 +157,19 @@ def _work_permutation(N: int, n: int, multiplier: int) -> np.ndarray:
     return perm
 
 
-def phase_correction_angle(bits, s: int) -> float:
-    """Accumulated correction angle theta_s in [0, 1) turns for stage s.
-
-    theta_s = sum_{k=2}^{s+1} m_{s+1-k} / 2^k, so the gate applied is
-    diag(1, exp(-2 pi i theta_s)) on the control qubit.  Each entry of
-    `bits` may also be a vector holding that bit for every run of a
-    stack, giving one angle per run; the terms are dyadic rationals, so
-    the sum is exact in any order.
-    """
-    if s < 0 or len(bits) < s:
-        raise ValueError("need at least s measured bits")
-    theta = 0.0
-    for k in range(2, s + 2):
-        theta += bits[s + 1 - k] / (1 << k)
-    return theta
-
-
 def _phase_angle(outcome: np.ndarray, s: int) -> np.ndarray:
-    """theta_s of phase_correction_angle, per member, from its outcome bits so far.
+    """The phase correction theta_s in [0, 1) turns of stage s, per member, from its outcome so far.
 
-    theta_s = (c mod 2^s) / 2^(s+1) for the outcome c, bit k with weight
-    2^k: a dyadic rational, exact in floating point, so equal bitwise to
-    the sum over the bits.
+    theta_s = sum_{k=2}^{s+1} m_{s+1-k} / 2^k over the measured bits m, so
+    the gate is diag(1, exp(-2 pi i theta_s)) on the control.  With bit
+    k of the outcome c weighted 2^k this is (c mod 2^s) / 2^(s+1): a
+    dyadic rational, exact in floating point.
     """
     return (outcome & ((1 << s) - 1)) / (2 << s)
 
 
 # The gate kernels act on one state or on a stack of states along leading
 # axes, and treat every member exactly as they would treat it alone.
-
-
-def _apply_modmult(rho: np.ndarray, inv_perm: np.ndarray) -> np.ndarray:
-    # Permutation conjugation by row/column gather; exact, no hermitization needed.
-    return rho[..., inv_perm[:, None], inv_perm]
 
 
 def _apply_control_phase(rho: np.ndarray, theta) -> np.ndarray:
@@ -218,22 +196,22 @@ def _apply_control_hadamard(rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def stage_gates(inst: ShorInstance, s: int, bits):
+def stage_gates(inst: ShorInstance, s: int, theta):
     """Displayed gates of stage s in circuit order, as functions of the state.
 
-    The phase correction appears from the second stage onward, matching
-    the displayed circuit; its angle at stage 0 would be zero anyway.
-    With per-run bit vectors (see phase_correction_angle) the gates act on
-    a stack of runs, each with its own phase.
+    theta is the caller's phase-correction angle in turns (see
+    _phase_angle), a scalar or one per member of a stack of runs.  The
+    phase correction appears from the second stage onward, matching the
+    displayed circuit; its angle at stage 0 would be zero anyway.
     """
     if not 0 <= s < inst.L:
         raise ValueError(f"stage {s} outside 0..{inst.L - 1}")
     half = 1 << inst.n
     perm = _work_permutation(inst.N, inst.n, stage_multipliers(inst)[s])
     inv = np.concatenate((np.arange(half), half + perm))
-    ops = [lambda rho: _apply_modmult(rho, inv)]
+    # permutation conjugation by row/column gather; exact, no hermitization needed
+    ops = [lambda rho: rho[..., inv[:, None], inv]]
     if s >= 1:
-        theta = phase_correction_angle(bits, s)
         ops.append(lambda rho: _apply_control_phase(rho, theta))
     ops.append(_apply_control_hadamard)
     return ops

@@ -48,7 +48,8 @@ def write_csv(rows, schema, path) -> None:
 def _parse_values(text: str) -> list[float]:
     """Grid syntax: either 'v1,v2,...' or 'start:stop:step' (ends inclusive).
 
-    Every part must be finite and the grid must not be empty.  A range's
+    Every part must be a finite number, no item may be empty, and the
+    grid must not be empty.  A range's
     point count is computed in closed form before any point is: a step
     below the grid's 1e-12 rounding, or more than _MAX_GRID_POINTS points,
     is rejected.
@@ -72,13 +73,15 @@ def _parse_values(text: str) -> list[float]:
                 break
             values.append(round(v, 12))
     else:
-        values = _finite([p for p in text.split(",") if p], text)
+        values = _finite(text.split(","), text)
     if not values:
         raise ValueError(f"grid {text!r} is empty")
     return values
 
 
 def _finite(pieces, text: str) -> list[float]:
+    if not all(pieces):
+        raise ValueError(f"grid {text!r} has an empty item")
     values = [float(p) for p in pieces]
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"grid {text!r} has a non-finite value")

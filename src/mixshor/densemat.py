@@ -12,15 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "HADAMARD",
-    "IDENTITY_2",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
     "num_qubits",
     "kron",
     "is_hermitian",
-    "assert_valid_state",
     "apply_unitary",
     "apply_local_gate",
     "partial_trace",
@@ -29,15 +23,7 @@ __all__ = [
     "trace_norm_hermitian",
 ]
 
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-IDENTITY_2 = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
 HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-EIGENVALUE_TOL = 1e-9
 
 
 def num_qubits(mat: np.ndarray) -> int:
@@ -63,26 +49,6 @@ def is_hermitian(mat: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
 def _hermitize(mat: np.ndarray) -> np.ndarray:
     # Bounds numerical drift over long gate sequences.
     return (mat + mat.conj().T) * 0.5
-
-
-def assert_valid_state(rho: np.ndarray, context: str = "") -> None:
-    """Check the density-matrix invariants: Hermitian, unit trace, PSD.
-
-    A stack of states along leading axes is checked member by member.
-    """
-    if rho.ndim > 2:
-        for member in rho.reshape((-1,) + rho.shape[-2:]):
-            assert_valid_state(member, context)
-        return
-    tag = f" ({context})" if context else ""
-    if not is_hermitian(rho):
-        raise ValueError(f"state is not Hermitian within {HERMITICITY_TOL}{tag}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"state trace {tr} deviates from 1{tag}")
-    lo = float(np.linalg.eigvalsh(rho)[0])
-    if lo < -EIGENVALUE_TOL:
-        raise ValueError(f"state has eigenvalue {lo} below -{EIGENVALUE_TOL}{tag}")
 
 
 def apply_unitary(rho: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -41,18 +41,13 @@ class NoiseConfig:
             raise ValueError(f"noise probability {self.prob} outside [0, 1]")
 
 
-def _member_qubits(rho: np.ndarray) -> int:
-    """Qubit count of one state, or of each member of a stack."""
-    return densemat.num_qubits(rho[(0,) * (rho.ndim - 2)])
-
-
 def _qubit_legs(rho: np.ndarray, q: int) -> np.ndarray:
     """One state or a (..., d, d) stack, viewed as (..., A, 2, C, A, 2, C).
 
     The two axes of length 2 are qubit q's ket and bra legs; A = 2^q and
     C = 2^(m-1-q) gather the qubits before and after it.
     """
-    m = _member_qubits(rho)
+    m = densemat.num_qubits(rho[(0,) * (rho.ndim - 2)])  # of one member of a stack
     if not 0 <= q < m:
         raise ValueError(f"bad qubit index {q}")
     outer, inner = 1 << q, 1 << (m - 1 - q)

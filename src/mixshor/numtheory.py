@@ -9,17 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "multiplicative_order",
-    "convergents",
     "extract_period",
     "CycleDecomposition",
     "permutation_cycles",
     "is_prime",
     "prime_factors",
-    "factor_semiprime",
     "semiprime_list",
     "coprime_list",
 ]
@@ -39,39 +36,14 @@ def multiplicative_order(a: int, n: int) -> int:
     return r
 
 
-def convergents(c: int, t: int) -> list[Fraction]:
-    """All continued-fraction convergents of c/t, ending at c/t in lowest terms.
-
-    Quotients come from the Euclidean algorithm; since c < t the sequence
-    always starts with the convergent 0/1.
-    """
-    if t < 1 or not 0 <= c < t:
-        raise ValueError("convergents requires 0 <= c < t")
-    quotients = []
-    num, den = c, t
-    while den:
-        q, rem = divmod(num, den)
-        quotients.append(q)
-        num, den = den, rem
-    out = []
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = quotients[0], 1
-    out.append(Fraction(p_cur, q_cur))
-    for a_i in quotients[1:]:
-        p_cur, p_prev = a_i * p_cur + p_prev, p_cur
-        q_cur, q_prev = a_i * q_cur + q_prev, q_cur
-        out.append(Fraction(p_cur, q_cur))
-    return out
-
-
 def extract_period(c: int, t: int, n: int, a: int) -> int | None:
     """Period candidate recovered from a measurement outcome c, or None.
 
     Takes the convergent of c/t with the largest denominator k < N and
     accepts it only if a**k = 1 (mod N).  No multiple-of-k repair is
     attempted, so a run succeeds exactly when the returned value equals
-    the true order.  The denominators of convergents(c, t) follow from
-    the quotients alone, q_j = a_j q_(j-1) + q_(j-2), and never decrease,
+    the true order.  The denominators of the convergents of c/t follow
+    from the quotients alone, q_j = a_j q_(j-1) + q_(j-2), and never decrease,
     so they are run in integers up to the first one that reaches N.
     """
     if t < 1 or not 0 <= c < t:
@@ -148,21 +120,13 @@ def prime_factors(v: int) -> list[int]:
     return out
 
 
-def factor_semiprime(v: int) -> tuple[int, int] | None:
-    """(p, q) with v = p*q for primes p <= q, or None if v is not a semiprime."""
-    fac = prime_factors(v)
-    if len(fac) == 2:
-        return fac[0], fac[1]
-    return None
-
-
 def semiprime_list(bits: int) -> list[int]:
     """All products of two primes (not necessarily distinct) with exactly
     `bits` binary digits."""
     if not 3 <= bits <= 6:
         raise ValueError("semiprime_list supports 3 to 6 bits")
     lo, hi = 1 << (bits - 1), 1 << bits
-    return [v for v in range(lo, hi) if factor_semiprime(v) is not None]
+    return [v for v in range(lo, hi) if len(prime_factors(v)) == 2]
 
 
 def coprime_list(n: int) -> list[int]:

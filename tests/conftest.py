@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
 
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+IDENTITY_2 = np.eye(2, dtype=complex)
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
 
 def haar_unitary(dim, rng):
     """Haar-random unitary via QR of a complex Gaussian matrix."""

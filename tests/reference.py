@@ -5,17 +5,25 @@ them, through the public gate kernels of `mixshor.circuit`
 (`stage_gates`, `plus_control`, `reprepare_control`) and
 `mixshor.noise.noise_pass`; none uses the block stage of the engines.
 `run_stage_gates` and `measure_control` are the full-state forms that
-the engines' block forms replace.  `sector_distribution` is a closed
-form instead, the oracle of the mixed-control outcome distribution, and
-`run_rng` is numpy's generator of a Monte Carlo run's stream, the one
-the vectorized draw of the sweeps must equal.  `reference_block_plan`
-is the block plan of the entanglement measures before it summed
-positive blocks by their diagonal: it solves every block, one plan per
-call.
+the engines' block forms replace.  Both full-state walks take the phase
+correction from `phase_correction_angle`, a sum over the measured bits,
+not from the engines' closed form over the outcome.  `sector_distribution`
+is a closed form instead, the oracle of the mixed-control outcome
+distribution, and `run_rng` is numpy's generator of a Monte Carlo run's
+stream, the one the vectorized draw of the sweeps must equal.
+`reference_block_plan` is the block plan of the entanglement measures
+before it summed positive blocks by their diagonal: it solves every
+block, one plan per call.  `convergents` is the continued-fraction rule
+that `numtheory.extract_period` runs in integers, and
+`assert_valid_state` the density-matrix invariants the tests check
+states against.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
+from mixshor import densemat
 from mixshor.circuit import (
     DEAD_BRANCH_TOL,
     ComputerState,
@@ -30,6 +38,26 @@ from mixshor.circuit import (
 from mixshor.entanglement import average_log_negativity
 from mixshor.noise import noise_pass
 
+TRACE_TOL = 1e-10
+EIGENVALUE_TOL = 1e-9
+
+
+def phase_correction_angle(bits, s: int) -> float:
+    """Accumulated correction angle theta_s in [0, 1) turns for stage s.
+
+    theta_s = sum_{k=2}^{s+1} m_{s+1-k} / 2^k, so the gate applied is
+    diag(1, exp(-2 pi i theta_s)) on the control qubit.  Each entry of
+    `bits` may also be a vector holding that bit for every run of a
+    stack, giving one angle per run; the terms are dyadic rationals, so
+    the sum is exact in any order.
+    """
+    if s < 0 or len(bits) < s:
+        raise ValueError("need at least s measured bits")
+    theta = 0.0
+    for k in range(2, s + 2):
+        theta += bits[s + 1 - k] / (1 << k)
+    return theta
+
 
 def run_stage_gates(state: ComputerState, inst) -> ComputerState:
     """Apply the controlled multiplication, phase correction and Hadamard of state.stage.
@@ -39,7 +67,7 @@ def run_stage_gates(state: ComputerState, inst) -> ComputerState:
     measure; the stage advances with the measured bit.
     """
     rho = state.rho
-    for apply in stage_gates(inst, state.stage, state.bits):
+    for apply in stage_gates(inst, state.stage, phase_correction_angle(state.bits, state.stage)):
         rho = apply(rho)
     return ComputerState(rho=rho, bits=state.bits)
 
@@ -169,7 +197,7 @@ def reference_stages(inst, kind, cfg, rng, check=lambda rho: None):
     for s in range(inst.L):
         rho = state.rho
         check(rho)
-        for apply in stage_gates(inst, s, state.bits):
+        for apply in stage_gates(inst, s, phase_correction_angle(state.bits, s)):
             rho = noise_pass(apply(rho), cfg, rng)
             check(rho)
         (p0, b0), (p1, b1) = measure_control(ComputerState(rho, state.bits))
@@ -280,3 +308,48 @@ def reference_block_plan(pattern: bytes, dim: int, subsets: tuple[tuple[int, ...
         offset += len(keep) * s
     order = np.argsort(np.concatenate(owner), kind="stable")
     return blocks, np.concatenate(source)[order]
+
+
+def convergents(c: int, t: int) -> list[Fraction]:
+    """All continued-fraction convergents of c/t, ending at c/t in lowest terms.
+
+    Quotients come from the Euclidean algorithm; since c < t the sequence
+    always starts with the convergent 0/1.
+    """
+    if t < 1 or not 0 <= c < t:
+        raise ValueError("convergents requires 0 <= c < t")
+    quotients = []
+    num, den = c, t
+    while den:
+        q, rem = divmod(num, den)
+        quotients.append(q)
+        num, den = den, rem
+    out = []
+    p_prev, q_prev = 1, 0
+    p_cur, q_cur = quotients[0], 1
+    out.append(Fraction(p_cur, q_cur))
+    for a_i in quotients[1:]:
+        p_cur, p_prev = a_i * p_cur + p_prev, p_cur
+        q_cur, q_prev = a_i * q_cur + q_prev, q_cur
+        out.append(Fraction(p_cur, q_cur))
+    return out
+
+
+def assert_valid_state(rho: np.ndarray, context: str = "") -> None:
+    """Check the density-matrix invariants: Hermitian, unit trace, PSD.
+
+    A stack of states along leading axes is checked member by member.
+    """
+    if rho.ndim > 2:
+        for member in rho.reshape((-1,) + rho.shape[-2:]):
+            assert_valid_state(member, context)
+        return
+    tag = f" ({context})" if context else ""
+    if not densemat.is_hermitian(rho):
+        raise ValueError(f"state is not Hermitian within {densemat.HERMITICITY_TOL}{tag}")
+    tr = complex(np.trace(rho))
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"state trace {tr} deviates from 1{tag}")
+    lo = float(np.linalg.eigvalsh(rho)[0])
+    if lo < -EIGENVALUE_TOL:
+        raise ValueError(f"state has eigenvalue {lo} below -{EIGENVALUE_TOL}{tag}")

@@ -7,7 +7,6 @@ from mixshor.circuit import (
     InitialStateKind,
     build_instance,
     initial_state,
-    phase_correction_angle,
     plus_control,
     reference_distribution,
     reprepare_control,
@@ -18,7 +17,7 @@ from mixshor.entanglement import mixedness
 from mixshor.numtheory import coprime_list, is_prime
 
 from conftest import bell_state, random_density_matrix
-from reference import measure_control, run_stage_gates
+from reference import assert_valid_state, measure_control, phase_correction_angle, run_stage_gates
 
 PURE = InitialStateKind.PURE
 MIXED_N = InitialStateKind.MIXED_N
@@ -254,12 +253,12 @@ class TestStageEvolution:
         state = initial_state(inst, MIXED_N)
         for s in range(inst.L):
             state = run_stage_gates(state, inst)
-            densemat.assert_valid_state(state.rho, context=f"stage {s} gates")
+            assert_valid_state(state.rho, context=f"stage {s} gates")
             (_, b0), (_, b1) = measure_control(state)
             state = b1 if b1 is not None else b0
-            densemat.assert_valid_state(state.rho, context=f"stage {s} measured")
+            assert_valid_state(state.rho, context=f"stage {s} measured")
             state = reprepare_control(state)
-            densemat.assert_valid_state(state.rho, context=f"stage {s} re-prepared")
+            assert_valid_state(state.rho, context=f"stage {s} re-prepared")
 
 
 class TestMeasureControl:

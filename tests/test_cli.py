@@ -62,7 +62,7 @@ class TestParseValues:
         with pytest.raises(ValueError, match="non-finite"):
             _parse_values(text)
 
-    @pytest.mark.parametrize("text", ["1:0:0.1", "0.5:0.4:0.01", ",", ""])
+    @pytest.mark.parametrize("text", ["1:0:0.1", "0.5:0.4:0.01", ",", "", "0.1,,0.2", "0.1,", ",0.1", "0::0.1"])
     def test_empty_grid_rejected(self, text):
         with pytest.raises(ValueError, match="empty"):
             _parse_values(text)
@@ -279,7 +279,9 @@ class TestValidation:
         assert code == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("grid", ["0:inf:0.1", "nan:0.5:0.1", "0.5:0:0.1", "nan", ","])
+    @pytest.mark.parametrize(
+        "grid", ["0:inf:0.1", "nan:0.5:0.1", "0.5:0:0.1", "nan", ",", "0.1,,0.2", "0.1,", ",0.1"]
+    )
     def test_bad_noise_grid_exits_2(self, grid, tmp_path):
         out = tmp_path / "x.csv"
         code = run_cli(

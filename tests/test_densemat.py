@@ -5,9 +5,6 @@ import pytest
 
 from mixshor import densemat
 from mixshor.densemat import (
-    HADAMARD,
-    IDENTITY_2,
-    PAULI_X,
     apply_local_gate,
     apply_unitary,
     hermitian_eigenvalues,
@@ -18,7 +15,17 @@ from mixshor.densemat import (
 )
 from mixshor.entanglement import mixedness
 
-from conftest import basis_density, bell_state, ghz_state, haar_unitary, random_density_matrix
+from conftest import (
+    HADAMARD,
+    IDENTITY_2,
+    PAULI_X,
+    basis_density,
+    bell_state,
+    ghz_state,
+    haar_unitary,
+    random_density_matrix,
+)
+from reference import assert_valid_state
 
 # The two-qubit Hadamard embeddings written out entrywise.  With qubit 0 as
 # the most significant index, H on qubit 1 conjugates each 2x2 block in
@@ -173,7 +180,7 @@ class TestPartialTrace:
         rho = random_density_matrix(16, rng)
         reduced = partial_trace(rho, {0, 2})
         assert abs(np.trace(reduced) - 1) < 1e-10
-        densemat.assert_valid_state(reduced)
+        assert_valid_state(reduced)
 
     def test_cannot_trace_everything(self, rng):
         with pytest.raises(ValueError):
@@ -303,4 +310,4 @@ class TestStateInvariants:
                 partial_trace(rho, {q}),
             ]
             for out in outputs:
-                densemat.assert_valid_state(out)
+                assert_valid_state(out)

@@ -28,6 +28,7 @@ from mixshor.noise import MEASUREMENT, PAULI, NoiseConfig
 from mixshor.numtheory import coprime_list, is_prime
 
 from reference import (
+    assert_valid_state,
     explicit_tree,
     measure_control,
     reference_stages,
@@ -151,7 +152,7 @@ class TestTreeProfile:
         for kind in (PURE, MIXED_N, MIXED_FULL):
             for eps in (0.0, 0.25):
                 for point, _, states, _ in _single_steps(inst, kind, eps):
-                    densemat.assert_valid_state(states, context=f"{kind} eps={eps} point {point}")
+                    assert_valid_state(states, context=f"{kind} eps={eps} point {point}")
 
     @pytest.mark.parametrize("N, a", [(6, 5), (9, 2), (15, 2), (21, 2)])
     def test_tree_steps_equal_full_state_walk(self, N, a):
@@ -532,12 +533,12 @@ class TestMonteCarlo:
         uniforms = np.stack([run_rng(seed, run).random(draws) for run in range(runs)])
         got = np.zeros(runs, dtype=np.int64)
         for s, (bit, sigma) in enumerate(experiments._run_steps(inst, MIXED_N, cfg, uniforms)):
-            densemat.assert_valid_state(sigma, context=f"stage {s}")
+            assert_valid_state(sigma, context=f"stage {s}")
             got += bit << s
         expected = []
         for run in range(runs):
             rng = run_rng(seed, run)
-            stages = reference_stages(inst, MIXED_N, cfg, rng, check=densemat.assert_valid_state)
+            stages = reference_stages(inst, MIXED_N, cfg, rng, check=assert_valid_state)
             expected.append(sum(bit << s for s, (bit, _) in enumerate(stages)))
         assert list(got) == expected
 

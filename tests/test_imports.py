@@ -4,16 +4,21 @@ import pkgutil
 import subprocess
 import sys
 
+import pytest
+
 import mixshor
 
 
-def test_import_leaves_scipy_unloaded():
+@pytest.mark.parametrize("module", ["scipy", "fractions", "decimal"])
+def test_import_leaves_scipy_unloaded(module):
     # numpy is the only dependency: the sparsity blocks of the
-    # entanglement path are found without scipy, and importing the
-    # package must not pay for loading it
+    # entanglement path are found without scipy, period extraction runs
+    # its continued fractions in integers without fractions (and the
+    # decimal module it loads), and importing the package must not pay
+    # for loading any of them
     src = os.path.dirname(os.path.dirname(mixshor.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, mixshor; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = f"import sys, mixshor; print(sorted(m for m in sys.modules if m.split('.')[0] == {module!r}))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 

