@@ -390,10 +390,9 @@ def reference_distribution(inst: ShorInstance, kind: InitialStateKind) -> np.nda
     """
     t = inst.t
     weights = work_distribution(inst, kind)
-    cycles = numtheory.permutation_cycles(inst.a, inst.N, inst.n).cycles
     probs = np.zeros(t)
     spectra: dict[int, np.ndarray] = {}
-    for cyc in cycles:
+    for cyc in numtheory.permutation_cycles(inst.a, inst.N, inst.n):
         w = float(sum(weights[b] for b in cyc))
         if w == 0.0:
             continue

@@ -57,7 +57,7 @@ def average_log_negativity(rho: np.ndarray):
     dim = rho.shape[-1]
     members = rho.reshape(-1, dim, dim)
     parts = bipartitions(densemat.num_qubits(members[0]))
-    e = np.log2(_spectral_sums(members, parts, np.abs, split=True))
+    e = np.log2(_spectral_sums(members, parts, np.abs))
     e[np.abs(e) < CLAMP_TOL] = 0.0
     means = e.mean(axis=-1)
     return float(means[0]) if rho.ndim == 2 else means
@@ -89,7 +89,7 @@ def mixedness(rho: np.ndarray):
     exactly zero: a pure state has entropy 0, not 1e-15.
     """
     dim = rho.shape[-1]
-    s = -_spectral_sums(rho.reshape(-1, dim, dim), ((),), _plogp, split=False)[:, 0]
+    s = -_spectral_sums(rho.reshape(-1, dim, dim), ((),), _plogp)[:, 0]
     s[s < CLAMP_TOL] = 0.0
     return float(s[0]) if rho.ndim == 2 else s.reshape(rho.shape[:-2])
 
@@ -184,16 +184,18 @@ def _block_plan(pattern: bytes, dim: int, subsets: tuple[tuple[int, ...], ...], 
     return blocks, np.concatenate(source)[order]
 
 
-def _spectral_sums(stack: np.ndarray, subsets, term, split: bool) -> np.ndarray:
+def _spectral_sums(stack: np.ndarray, subsets, term) -> np.ndarray:
     """Per member and subset, the sum of term(lam) over the partial transpose's eigenvalues.
 
     `stack` is (B, d, d) and `term` must map 0 to 0.  Each member is split
     by its own nonzero pattern: entries outside a block are exact zeros,
     so a matrix's spectrum is the union of its blocks' spectra, and only
-    blocks of size two or more go through eigvalsh, or, with `split`, for
-    term = abs, those not positive by construction (see _block_plan).
-    Members are grouped by pattern, so every member gets bitwise the value
-    it gets alone.  Returns a (B, len(subsets)) array.
+    blocks of size two or more go through eigvalsh.  The trace norm,
+    term = abs, also splits the blocks that are positive by construction
+    into their diagonals (see _block_plan); any other term needs the
+    eigenvalues themselves and gets no such split.  Members are grouped by
+    pattern, so every member gets bitwise the value it gets alone.
+    Returns a (B, len(subsets)) array.
     """
     count, dim = len(stack), stack.shape[-1]
     flat = stack.reshape(count, dim * dim)
@@ -202,7 +204,7 @@ def _spectral_sums(stack: np.ndarray, subsets, term, split: bool) -> np.ndarray:
         groups.setdefault(key.tobytes(), []).append(i)
     sums = np.empty((count, len(subsets)))
     for key, members in groups.items():
-        blocks, layout = _block_plan(key, dim, subsets, split)
+        blocks, layout = _block_plan(key, dim, subsets, term is np.abs)
         rows = flat[members]
         vals = []
         for index in blocks:

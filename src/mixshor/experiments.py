@@ -222,15 +222,19 @@ def tree_profile(inst: ShorInstance, kind: InitialStateKind, epsilon: float = 0.
     plus h2(epsilon) times the path mass of the stage.
     Noisy runs go through monte_carlo_sweep.
     """
-    return _tree_profiles((inst,), kind, epsilon)[0]
+    e, s, leaf = _tree_profiles((inst,), kind, epsilon)
+    return TreeResult(reports=_reports(e[0], s[0]), leaf_probs=leaf[0])
 
 
-def _tree_profiles(group, kind: InitialStateKind, epsilon: float = 0.0) -> list[TreeResult]:
-    """tree_profile of every instance of a group of one N, from one _tree_steps walk.
+def _tree_profiles(group, kind: InitialStateKind, epsilon: float = 0.0):
+    """The sampling-point means and leaves of every instance of a group of one N.
 
-    Each chunk's contributions are added to the accumulators of every
-    instance that owns it, in chunk order, so each instance sums exactly
-    what it sums alone and gets its tree_profile bit for bit.
+    Returns (e, s, leaf): e and s are (len(group), 2L) arrays of the
+    average log-negativity and mixedness at each sampling point, and leaf
+    is the (len(group), t) array of outcome distributions, all from one
+    _tree_steps walk.  Each chunk's contributions are added to the rows
+    of every instance that owns it, in chunk order, so each row is
+    exactly what the instance sums alone, bit for bit.
     """
     inst = group[0]
     points = 2 * inst.L
@@ -250,21 +254,15 @@ def _tree_profiles(group, kind: InitialStateKind, epsilon: float = 0.0) -> list[
     s_av[:, 0] += _shannon_entropy(circuit.work_distribution(inst, kind))
     s_av[:, 2::2] += s_av[:, 1:-1:2]
     s_av[s_av < entanglement.CLAMP_TOL] = 0.0  # round-off, as in mixedness
-    return [
-        TreeResult(
-            reports=tuple(
-                StageReport(
-                    stage=i // 2,
-                    kind=_POINT_KINDS[i % 2],
-                    avg_logneg=float(e[i]),
-                    mixedness=float(s[i]),
-                )
-                for i in range(points)
-            ),
-            leaf_probs=lp,
-        )
-        for e, s, lp in zip(e_av, s_av, leaf)
-    ]
+    return e_av, s_av, leaf
+
+
+def _reports(e: np.ndarray, s: np.ndarray) -> tuple[StageReport, ...]:
+    """The 2L StageReports of a run's per-point entanglement e and mixedness s."""
+    return tuple(
+        StageReport(stage=i // 2, kind=_POINT_KINDS[i % 2], avg_logneg=float(x), mixedness=float(y))
+        for i, (x, y) in enumerate(zip(e, s))
+    )
 
 
 def tree_leaf_distribution(inst: ShorInstance, kind: InitialStateKind) -> np.ndarray:
@@ -328,7 +326,9 @@ def ensemble_profile(bits: int, kind: InitialStateKind) -> list[StageReport]:
     with the cut T = W giving 0 on both sides.  The pure register |1> is
     not invariant, its a and a^-1 trees differ, and every a runs on its
     own with weight 1, summed in the same order.  The trees of one N are
-    stepped together by _tree_profiles, each bit for bit its tree_profile.
+    stepped together by _tree_profiles, each row bit for bit its
+    tree_profile, and the weighted rows are added one tree at a time,
+    from 0.0 in stepping order, then divided once by the ensemble size.
     """
     if bits not in (4, 5):
         raise ValueError("ensemble profiles are defined for 4- and 5-digit numbers")
@@ -338,19 +338,15 @@ def ensemble_profile(bits: int, kind: InitialStateKind) -> list[StageReport]:
             inverse = circuit.build_instance(inst.N, pow(inst.a, -1, inst.N))
             inst = min(inst, inverse, key=circuit.stage_multipliers)
         weights[inst] = weights.get(inst, 0) + 1
-    results = []
+    e_sum = s_sum = 0.0
     for _, group in itertools.groupby(weights, key=operator.attrgetter("N")):
         group = tuple(group)
-        results += zip((weights[inst] for inst in group), _tree_profiles(group, kind))
-    count = sum(weight for weight, _ in results)
-    out = []
-    for i, template in enumerate(results[0][1].reports):
-        e = sum(weight * res.reports[i].avg_logneg for weight, res in results) / count
-        s = sum(weight * res.reports[i].mixedness for weight, res in results) / count
-        out.append(
-            StageReport(stage=template.stage, kind=template.kind, avg_logneg=e, mixedness=s)
-        )
-    return out
+        e_av, s_av, _ = _tree_profiles(group, kind)
+        for inst, e, s in zip(group, e_av, s_av):
+            e_sum += weights[inst] * e
+            s_sum += weights[inst] * s
+    count = sum(weights.values())
+    return list(_reports(e_sum / count, s_sum / count))
 
 
 # Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,

@@ -8,12 +8,10 @@ here ever assumes a period instead of computing it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "multiplicative_order",
     "extract_period",
-    "CycleDecomposition",
     "permutation_cycles",
     "is_prime",
     "prime_factors",
@@ -63,19 +61,12 @@ def extract_period(c: int, t: int, n: int, a: int) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class CycleDecomposition:
-    """Orbits of b -> a*b mod N on {0, ..., 2^n - 1} (identity for b >= N)."""
+def permutation_cycles(a: int, n_mod: int, n_bits: int) -> tuple[tuple[int, ...], ...]:
+    """Orbits of b -> a b mod N on the n_bits-bit integers, b >= N fixed.
 
-    cycles: tuple[tuple[int, ...], ...]
-
-    def count_with_length(self, length: int) -> int:
-        """Number of elements lying in cycles of exactly the given length."""
-        return sum(len(c) for c in self.cycles if len(c) == length)
-
-
-def permutation_cycles(a: int, n_mod: int, n_bits: int) -> CycleDecomposition:
-    """Cycle structure of multiplication by a modulo N on n_bits-bit integers."""
+    Each orbit is a tuple starting at its smallest element, and the
+    orbits are ordered by that element.
+    """
     if math.gcd(a, n_mod) != 1:
         raise ValueError(f"a={a} is not coprime to N={n_mod}")
     size = 1 << n_bits
@@ -97,7 +88,7 @@ def permutation_cycles(a: int, n_mod: int, n_bits: int) -> CycleDecomposition:
             orbit.append(cur)
             cur = cur * a % n_mod
         cycles.append(tuple(orbit))
-    return CycleDecomposition(tuple(cycles))
+    return tuple(cycles)
 
 
 def is_prime(v: int) -> bool:

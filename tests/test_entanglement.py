@@ -273,14 +273,33 @@ class TestPositiveBlocks:
         assert abs(mixedness(rho) - want) < 1e-12
         assert [shape[-3:] for shape in shapes] == [(1, 2, 2)]
 
+    def test_entropy_never_reads_the_diagonal(self, monkeypatch, rng):
+        # every block of the identity subset is positive by construction,
+        # yet only the trace norm may read such a block's diagonal: a state
+        # with a non-diagonal block keeps its von Neumann entropy
+        rho = random_density_matrix(4, rng)
+        diagonal = rho.diagonal().real
+        splits = []
+        plan = entanglement._block_plan
+
+        def spy(key, d, subsets, split):
+            splits.append(split)
+            return plan(key, d, subsets, split)
+
+        monkeypatch.setattr(entanglement, "_block_plan", spy)
+        got = mixedness(rho)
+        assert splits == [False]
+        assert abs(got - TestSparsityBlocks._dense_entropy(rho)) < 1e-12
+        assert abs(got + np.sum(diagonal * np.log2(diagonal))) > 1e-3
+
     @pytest.mark.parametrize("dim", [4, 8, 16, 32, 64])
     def test_plan_matches_reference_plan(self, dim, monkeypatch, rng):
         # the fast plan against the one it replaced: sums of |lam| over the
-        # cuts within round-off when split and bitwise when not, the
-        # entropy's identity subset bitwise, and fewer matrices solved
+        # cuts within round-off, the entropy's identity subset bitwise, and
+        # fewer matrices solved
         stack = TestSparsityBlocks()._stack(dim, rng)
         cuts = bipartitions(densemat.num_qubits(stack[0]))
-        runs = [(cuts, np.abs, True), (cuts, np.abs, False), (((),), entanglement._plogp, False)]
+        runs = [(cuts, np.abs), (((),), entanglement._plogp)]
         shapes = count_eigvalsh(monkeypatch)
         got = [entanglement._spectral_sums(stack, *run) for run in runs]
         solved = sum(np.prod(shape[:-2]) for shape in shapes)
@@ -293,5 +312,28 @@ class TestPositiveBlocks:
         want = [entanglement._spectral_sums(stack, *run) for run in runs]
         assert np.max(np.abs(got[0] - want[0]) / want[0]) < 1e-13
         assert np.array_equal(got[1], want[1])
-        assert np.array_equal(got[2], want[2])
         assert solved < sum(np.prod(shape[:-2]) for shape in shapes)
+
+    @pytest.mark.parametrize("dim", [4, 8, 16, 32, 64])
+    def test_unsplit_plan_matches_reference_plan(self, dim, rng):
+        # without the split, the plan's label propagation and cross-subset
+        # dedupe give the reference plan's sums of |lam| over the cuts, bit
+        # for bit, though they may order the blocks differently
+        stack = TestSparsityBlocks()._stack(dim, rng)
+        cuts = bipartitions(densemat.num_qubits(stack[0]))
+
+        def summed(plan, row):
+            blocks, layout = plan
+            vals = np.concatenate(
+                [
+                    (np.linalg.eigvalsh(row[index]) if index.shape[-1] > 1 else row[index]).real
+                    for index in blocks
+                ],
+                axis=None,
+            )
+            return np.abs(vals[layout]).reshape(len(cuts), dim).sum(axis=1)
+
+        for row in stack.reshape(len(stack), dim * dim):
+            key = np.packbits(row != 0).tobytes()
+            got = summed(entanglement._block_plan(key, dim, cuts, False), row)
+            assert np.array_equal(got, summed(reference_block_plan(key, dim, cuts), row))

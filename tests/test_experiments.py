@@ -856,6 +856,19 @@ class TestCrossing:
         assert below >= 1e-10
         assert above < 1e-10 or x >= 0.5 - 1e-3
 
+    @pytest.mark.parametrize("N, a", [(6, 5), (10, 3)])
+    def test_grid_bisection_sees_a_monotone_profile(self, N, a):
+        # bisecting over grid indices finds the linear scan's first point
+        # below CLAMP_TOL only if the whole-run average never rises in
+        # epsilon; the refined crossing then lies in the cell below it
+        inst = build_instance(N, a)
+        grid = np.arange(251) * 0.002
+        values = np.array([experiments._average_entanglement(inst, MIXED_FULL, e) for e in grid])
+        assert np.all(np.diff(values) <= 0.0)
+        assert values[0] >= CLAMP_TOL > values[-1]
+        first = grid[np.argmax(values < CLAMP_TOL)]
+        assert first - 0.002 < find_entanglement_crossing(inst, MIXED_FULL) <= first
+
     @pytest.mark.parametrize(
         "bad",
         [{"refine_tol": v} for v in (0.0, -1e-3, np.nan, np.inf)]
@@ -1032,18 +1045,8 @@ class TestEnsemble:
         for probe in stepped:
 
             def stub(group, k):
-                return [
-                    experiments.TreeResult(
-                        reports=tuple(
-                            experiments.StageReport(
-                                i // 2, "post_gate", float((inst.N, inst.a) == probe), 0.0
-                            )
-                            for i in range(points)
-                        ),
-                        leaf_probs=np.zeros(1),
-                    )
-                    for inst in group
-                ]
+                e = np.array([[float((inst.N, inst.a) == probe)] * points for inst in group])
+                return e, np.zeros_like(e), np.zeros((len(group), 1))
 
             monkeypatch.setattr(experiments, "_tree_profiles", stub)
             reports = experiments.ensemble_profile(bits, kind)

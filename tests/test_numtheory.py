@@ -113,38 +113,37 @@ class TestExtractPeriod:
 
 class TestPermutationCycles:
     def test_explicit_cycles_for_15(self):
-        dec = permutation_cycles(2, 15, 4)
-        as_sets = {frozenset(c) for c in dec.cycles}
+        cycles = permutation_cycles(2, 15, 4)
+        as_sets = {frozenset(c) for c in cycles}
         assert frozenset({1, 2, 4, 8}) in as_sets
         assert frozenset({3, 6, 12, 9}) in as_sets
         assert frozenset({5, 10}) in as_sets
         assert frozenset({7, 14, 13, 11}) in as_sets
         assert frozenset({0}) in as_sets
         assert frozenset({15}) in as_sets
-        assert len(dec.cycles) == 6
+        assert len(cycles) == 6
 
     def test_eigenstate_count_bound(self):
         # elements in cycles of length r must be at least (p-1)(q-1)
-        dec = permutation_cycles(2, 15, 4)
-        assert dec.count_with_length(4) == 12
-        assert dec.count_with_length(4) >= (3 - 1) * (5 - 1)
+        in_length_4 = sum(len(c) for c in permutation_cycles(2, 15, 4) if len(c) == 4)
+        assert in_length_4 == 12
+        assert in_length_4 >= (3 - 1) * (5 - 1)
 
     def test_self_inverse_base(self):
         # a = N - 1 squares to 1, so no cycle exceeds length 2
         for N in (9, 15, 21):
-            dec = permutation_cycles(N - 1, N, (N - 1).bit_length())
-            assert max(len(c) for c in dec.cycles) <= 2
+            cycles = permutation_cycles(N - 1, N, (N - 1).bit_length())
+            assert max(len(c) for c in cycles) <= 2
 
     def test_partition_covers_domain(self):
-        dec = permutation_cycles(2, 21, 5)
-        assert sum(len(c) for c in dec.cycles) == 32
+        cycles = permutation_cycles(2, 21, 5)
+        assert sum(len(c) for c in cycles) == 32
 
     def test_cycle_of_one_has_length_r(self):
         for N in (9, 10, 14, 15, 21):
             for a in coprime_list(N):
                 n = (N - 1).bit_length()
-                dec = permutation_cycles(a, N, n)
-                (cycle_of_one,) = [c for c in dec.cycles if 1 in c]
+                (cycle_of_one,) = [c for c in permutation_cycles(a, N, n) if 1 in c]
                 assert len(cycle_of_one) == multiplicative_order(a, N)
 
 

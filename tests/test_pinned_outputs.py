@@ -138,3 +138,72 @@ def test_ensemble_profile_4(kind):
     entanglement, mixedness = ENSEMBLE_4[kind]
     assert np.mean([r.avg_logneg for r in reports]) == close(entanglement)
     assert reports[-1].mixedness == close(mixedness)
+
+
+# kind: (avg_logneg, mixedness) at each of the 16 sampling points of the
+# 4-bit ensemble, recorded while the ensemble mean re-read every tree's reports
+ENSEMBLE_4_POINTS = {
+    PURE: [
+        (0.29333333333333333, 0.0),
+        (0.15999999999999998, 0.0),
+        (0.35786111742470983, 0.0),
+        (0.20993019521325823, 0.0),
+        (0.30942018078333555, 0.0),
+        (0.2262643918151857, 0.0),
+        (0.2855435712488901, 0.0),
+        (0.2298620772023141, 0.0),
+        (0.26325212228850753, 0.0),
+        (0.23102801181881616, 0.0),
+        (0.2505062529728603, 0.0),
+        (0.23155036074364874, 0.0),
+        (0.4556681600882274, 0.0),
+        (0.3383842127961549, 0.0),
+        (0.9425057426894503, 0.0),
+        (0.6787991613696149, 0.0),
+    ],
+    MIXED_N: [
+        (0.103774723458071, 3.6100209035710646),
+        (0.058581407628278695, 3.3941472205545367),
+        (0.13946554605926464, 3.3941472205545367),
+        (0.12874027226365056, 3.184962742270063),
+        (0.15818396375341565, 3.184962742270063),
+        (0.15191035135956657, 3.0938852707058593),
+        (0.16441012060133622, 3.0938852707058593),
+        (0.16074038570546684, 3.049431329997816),
+        (0.16668258241100936, 3.049431329997816),
+        (0.1646818897830339, 3.0293959310789944),
+        (0.16758497706419181, 3.0293959310789944),
+        (0.166540831257507, 3.0201009692341323),
+        (0.2345902811458438, 3.0201009692341323),
+        (0.23150488235738167, 2.7244374749280555),
+        (0.4415608257734724, 2.7244374749280555),
+        (0.4337080741128684, 1.9480321903192261),
+    ],
+    MIXED_FULL: [
+        (0.06682185217077796, 4.0),
+        (0.03223888725908469, 3.791562466058848),
+        (0.08801440596189884, 3.791562466058848),
+        (0.07882516119151228, 3.621435498312833),
+        (0.09968911679324177, 3.621435498312833),
+        (0.09478176892363047, 3.549951666174497),
+        (0.10377032003783718, 3.549951666174497),
+        (0.10101763018506563, 3.5160485692712684),
+        (0.1053241135799728, 3.5160485692712684),
+        (0.10384864845044572, 3.50098443523176),
+        (0.10596032307329464, 3.50098443523176),
+        (0.10519588767779604, 3.4940539522812317),
+        (0.15846835006560647, 3.4940539522812317),
+        (0.15440994246567366, 3.2187898580978263),
+        (0.32440040478612764, 3.2187898580978263),
+        (0.312228878427655, 2.519001532593145),
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", list(ENSEMBLE_4_POINTS))
+def test_ensemble_profile_4_every_point(kind):
+    reports = ensemble_profile(4, kind)
+    assert len(reports) == len(ENSEMBLE_4_POINTS[kind])
+    for report, (entanglement, mixedness) in zip(reports, ENSEMBLE_4_POINTS[kind]):
+        assert report.avg_logneg == close(entanglement)
+        assert report.mixedness == close(mixedness)
