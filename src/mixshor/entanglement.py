@@ -49,10 +49,11 @@ def log_negativity(rho: np.ndarray, partition) -> float:
 def average_log_negativity(rho: np.ndarray):
     """Unweighted mean of log_negativity over all canonical bipartitions.
 
-    `rho` is one state, giving a float, or a (B, d, d) stack, giving one
-    value per member.  Each partial transpose is diagonalized block by
-    block over the member's own nonzero pattern; this is the inner loop
-    of the tree simulations.
+    `rho` is one state, giving a float, or a stack of states along
+    leading axes, giving one value per state in the shape of those axes.
+    Each partial transpose is diagonalized block by block over the
+    member's own nonzero pattern; this is the inner loop of the tree
+    simulations.
     """
     dim = rho.shape[-1]
     members = rho.reshape(-1, dim, dim)
@@ -60,7 +61,7 @@ def average_log_negativity(rho: np.ndarray):
     e = np.log2(_spectral_sums(members, parts, np.abs))
     e[np.abs(e) < CLAMP_TOL] = 0.0
     means = e.mean(axis=-1)
-    return float(means[0]) if rho.ndim == 2 else means
+    return float(means[0]) if rho.ndim == 2 else means.reshape(rho.shape[:-2])
 
 
 def _point_entanglement(states: np.ndarray, post_measure: bool) -> np.ndarray:

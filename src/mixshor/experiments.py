@@ -102,6 +102,13 @@ def _chunk_size(side: int) -> int:
     return max(1, CHUNK_BYTES // (16 * side * side))
 
 
+def _coherence(epsilon: float) -> float:
+    """The control's coherence 1 - 2 epsilon at a mixing strength epsilon in [0, 1/2]."""
+    if not 0.0 <= epsilon <= 0.5:
+        raise ValueError(f"epsilon={epsilon} outside [0, 1/2]")
+    return 1.0 - 2.0 * epsilon
+
+
 def _tree_steps(group, kind: InitialStateKind, epsilon: float):
     """Step one branch of each complex-conjugate pair of the measurement trees of a group.
 
@@ -127,9 +134,7 @@ def _tree_steps(group, kind: InitialStateKind, epsilon: float):
     forks, while the last fork goes on.  Every stage runs at the control's
     coherence 1 - 2 epsilon, with epsilon checked once, here.
     """
-    if not 0.0 <= epsilon <= 0.5:
-        raise ValueError(f"epsilon={epsilon} outside [0, 1/2]")
-    coherence = 1.0 - 2.0 * epsilon
+    coherence = _coherence(epsilon)
     inst = group[0]
     sigma = np.diag(circuit.work_distribution(inst, kind)).astype(complex)[None]
     pending = [(tuple(range(len(group))), 0, (sigma, np.ones(1), np.zeros(1, dtype=np.int64)))]
@@ -579,8 +584,7 @@ def mix_sweep(inst: ShorInstance, kind: InitialStateKind, epsilons) -> list[MixS
     """
     epsilons = [float(e) for e in epsilons]
     for e in epsilons:
-        if not 0.0 <= e <= 0.5:
-            raise ValueError(f"epsilon={e} outside [0, 1/2]")
+        _coherence(e)
     mask = extraction_success_mask(inst)
 
     def evaluate(eps: float) -> MixSweepRow:
@@ -594,26 +598,22 @@ def mix_sweep(inst: ShorInstance, kind: InitialStateKind, epsilons) -> list[MixS
     return [evaluate(eps) for eps in epsilons]
 
 
-def _average_entanglement(
-    inst: ShorInstance,
-    kind: InitialStateKind,
-    epsilon: float,
-    stop_above: float | None = None,
-) -> float:
-    """Whole-run average entanglement without keeping stage reports.
+def _entangled(
+    inst: ShorInstance, kind: InitialStateKind, epsilon: float, threshold: float
+) -> bool:
+    """Whether the whole-run average entanglement at epsilon reaches `threshold`.
 
-    Every contribution is nonnegative, so once the running sum divided by
-    the number of sampling points passes `stop_above` the final mean is
-    guaranteed to as well; the early return value is then a lower bound,
-    valid only for threshold comparisons.
+    The average is summed chunk by chunk over one _tree_steps walk.
+    Every term is nonnegative, so the walk answers yes at the first chunk
+    whose running sum over the 2L sampling points reaches `threshold`.
     """
     points = 2 * inst.L
     running = 0.0
     for _, point, probs, states, _ in _tree_steps((inst,), kind, epsilon):
         running += probs @ entanglement._point_entanglement(states, point % 2 == 1)
-        if stop_above is not None and running / points >= stop_above:
-            return running / points
-    return running / points
+        if running / points >= threshold:
+            return True
+    return False
 
 
 def find_entanglement_crossing(
@@ -624,41 +624,36 @@ def find_entanglement_crossing(
 ) -> float:
     """Smallest mixing strength at which the average entanglement vanishes.
 
-    Locates the first grid point (step 0.002) whose whole-run
-    average entanglement falls below `threshold`, then bisects inside the
-    bracketing grid cell down to `refine_tol`.  The grid point itself is
-    found by bisection over the grid index, which matches the linear scan
-    because the entanglement profile decreases monotonically in epsilon;
-    the bracketing invariant (above threshold on the left, below on the
-    right) is maintained throughout.  Both tolerances must be finite and
-    positive; the refinement also stops at float resolution.
+    It vanishes where TreeResult.whole_run_average_entanglement falls
+    below `threshold`, asked of each epsilon by _entangled.  The first
+    grid point (step 0.002) where it vanishes is found by bisection over
+    the grid index, which matches the linear scan because the average
+    decreases monotonically in epsilon; the bracketing grid cell, entangled
+    on the left and vanished on the right, is then bisected down to
+    `refine_tol`.  Both tolerances must be finite and positive; the
+    refinement also stops at float resolution.
     """
     for name, value in (("threshold", threshold), ("refine_tol", refine_tol)):
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
-
-    def avg_ent(eps: float) -> float:
-        return _average_entanglement(inst, kind, eps, stop_above=threshold)
-
-    if avg_ent(0.0) < threshold:
+    if not _entangled(inst, kind, 0.0, threshold):
         return 0.0
-    grid_step = 0.002
-    n_grid = round(0.5 / grid_step)
-    if avg_ent(0.5) >= threshold:
+    if _entangled(inst, kind, 0.5, threshold):
         raise RuntimeError("average entanglement does not vanish at epsilon = 1/2")
-    lo, hi = 0, n_grid
+    grid_step = 0.002
+    lo, hi = 0, round(0.5 / grid_step)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if avg_ent(mid * grid_step) < threshold:
-            hi = mid
-        else:
+        if _entangled(inst, kind, mid * grid_step, threshold):
             lo = mid
+        else:
+            hi = mid
     lo_eps, hi_eps = lo * grid_step, hi * grid_step
     mid = 0.5 * (lo_eps + hi_eps)
     while hi_eps - lo_eps > refine_tol and lo_eps < mid < hi_eps:
-        if avg_ent(mid) < threshold:
-            hi_eps = mid
-        else:
+        if _entangled(inst, kind, mid, threshold):
             lo_eps = mid
+        else:
+            hi_eps = mid
         mid = 0.5 * (lo_eps + hi_eps)
     return hi_eps

@@ -204,6 +204,16 @@ class TestStacks:
         assert np.array_equal(got, [mixedness(rho) for rho in stack])
         assert abs(got[3] - np.log2(dim)) < 1e-12
 
+    @pytest.mark.parametrize("measure", [average_log_negativity, mixedness])
+    @pytest.mark.parametrize("dim", [4, 8])
+    def test_leading_axes_kept(self, measure, dim, rng):
+        # a (2, 3, d, d) stack gives a (2, 3) array, each entry its state's own value
+        members = np.concatenate([self._stack(dim, rng), self._stack(dim, rng)[:2]])
+        stack = members.reshape(2, 3, dim, dim)
+        got = measure(stack)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got.ravel(), [measure(rho) for rho in members])
+
 
 class TestSparsityBlocks:
     # members that are direct sums of random blocks on shuffled index sets,

@@ -321,7 +321,7 @@ class TestTreeProfile:
 
     def test_leaf_sum_residual_checked_by_every_tree_caller(self, monkeypatch):
         # a measurement that loses 10 % of the probability must stop every
-        # caller of the tree stepper, the early-stop average included
+        # caller of the tree stepper, the crossing search's predicate included
         measure = circuit.measure_control
 
         def leaky(block0, block1):
@@ -334,7 +334,7 @@ class TestTreeProfile:
             lambda: tree_profile(inst, PURE),
             lambda: tree_leaf_distribution(inst, PURE),
             lambda: success_probability_exact(inst, PURE),
-            lambda: experiments._average_entanglement(inst, PURE, 0.0, stop_above=CLAMP_TOL),
+            lambda: experiments._entangled(inst, PURE, 0.0, CLAMP_TOL),
             lambda: experiments.ensemble_profile(4, MIXED_N),
         )
         for run in callers:
@@ -792,7 +792,8 @@ class TestMixSweep:
     @pytest.mark.parametrize("eps", [0.6, -0.1, float("nan"), float("inf")])
     def test_tree_checks_epsilon_before_any_stage(self, eps, monkeypatch):
         # epsilon is checked once per tree, before any stage forms its
-        # blocks; a valid one steps one chunk at each of the L stages
+        # blocks, and a sweep checks every epsilon before its first tree;
+        # a valid one steps one chunk at each of the L stages
         calls = []
         stage_blocks = circuit._stage_blocks
 
@@ -805,7 +806,7 @@ class TestMixSweep:
         with pytest.raises(ValueError, match="epsilon"):
             tree_profile(inst, PURE, eps)
         with pytest.raises(ValueError, match="epsilon"):
-            experiments._average_entanglement(inst, PURE, eps)
+            mix_sweep(inst, PURE, [0.25, eps])
         assert calls == []
         tree_profile(inst, PURE, 0.5)
         assert calls == list(range(inst.L))
@@ -839,20 +840,50 @@ class TestSectorOracle:
                 assert np.max(np.abs(closed - reference_distribution(inst, kind))) < 1e-12
 
 
+def whole_run_average(inst, kind, eps):
+    return tree_profile(inst, kind, eps).whole_run_average_entanglement()
+
+
 class TestCrossing:
-    def test_early_stop_bound_agrees_with_full_average(self):
+    @pytest.mark.parametrize("N, a, x", [(10, 3, 0.33287500000000003), (15, 2, 0.3963125)])
+    def test_predicate_reads_the_whole_run_average(self, N, a, x):
+        # on a grid through the pinned crossing x, a grid cell and the
+        # refinement tolerance to either side, the early-stopping predicate
+        # answers exactly as the full average of the stage reports compares
+        inst = build_instance(N, a)
+        grid = [x - 0.002, x - 1e-4, x, x + 1e-4, x + 0.002]
+        answers = [experiments._entangled(inst, MIXED_FULL, e, CLAMP_TOL) for e in grid]
+        assert answers == [whole_run_average(inst, MIXED_FULL, e) >= CLAMP_TOL for e in grid]
+        assert answers == [True] * 2 + [False] * 3
+
+    def test_predicate_stops_early_when_entangled(self, monkeypatch):
+        # an entangled epsilon is answered before the walk ends; a vanished
+        # one reads every chunk of the walk
+        calls = []
+        point_entanglement = entanglement._point_entanglement
+
+        def counted(states, post_measure):
+            calls.append(len(states))
+            return point_entanglement(states, post_measure)
+
+        monkeypatch.setattr(entanglement, "_point_entanglement", counted)
         inst = build_instance(10, 3)
-        full = experiments._average_entanglement(inst, MIXED_FULL, 0.2)
-        prof = tree_profile(inst, MIXED_FULL, epsilon=0.2)
-        assert abs(full - prof.whole_run_average_entanglement()) < 1e-12
+        tree_profile(inst, MIXED_FULL, 0.2)
+        walk = len(calls)
+        calls.clear()
+        assert experiments._entangled(inst, MIXED_FULL, 0.2, CLAMP_TOL)
+        assert 0 < len(calls) < walk
+        calls.clear()
+        assert not experiments._entangled(inst, MIXED_FULL, 0.5, CLAMP_TOL)
+        assert len(calls) == walk
 
     def test_crossing_is_bracketed(self):
         # cheap instance: the located crossing separates positive from zero
         inst = build_instance(10, 3)
         x = find_entanglement_crossing(inst, MIXED_FULL, refine_tol=1e-3)
         assert 0.0 < x <= 0.5
-        below = experiments._average_entanglement(inst, MIXED_FULL, max(x - 0.02, 0.0))
-        above = experiments._average_entanglement(inst, MIXED_FULL, min(x + 0.02, 0.5))
+        below = whole_run_average(inst, MIXED_FULL, max(x - 0.02, 0.0))
+        above = whole_run_average(inst, MIXED_FULL, min(x + 0.02, 0.5))
         assert below >= 1e-10
         assert above < 1e-10 or x >= 0.5 - 1e-3
 
@@ -863,7 +894,7 @@ class TestCrossing:
         # epsilon; the refined crossing then lies in the cell below it
         inst = build_instance(N, a)
         grid = np.arange(251) * 0.002
-        values = np.array([experiments._average_entanglement(inst, MIXED_FULL, e) for e in grid])
+        values = np.array([whole_run_average(inst, MIXED_FULL, e) for e in grid])
         assert np.all(np.diff(values) <= 0.0)
         assert values[0] >= CLAMP_TOL > values[-1]
         first = grid[np.argmax(values < CLAMP_TOL)]
@@ -880,7 +911,7 @@ class TestCrossing:
         def no_trees(*args, **kwargs):
             raise AssertionError("a tree was run before the tolerances were checked")
 
-        monkeypatch.setattr(experiments, "_average_entanglement", no_trees)
+        monkeypatch.setattr(experiments, "_entangled", no_trees)
         with pytest.raises(ValueError, match="finite and positive"):
             find_entanglement_crossing(build_instance(10, 3), MIXED_FULL, **bad)
 
@@ -889,8 +920,8 @@ class TestCrossing:
         # the bisection once the midpoint is an endpoint
         inst = build_instance(10, 3)
         x = find_entanglement_crossing(inst, MIXED_FULL, refine_tol=1e-300)
-        assert experiments._average_entanglement(inst, MIXED_FULL, x) < 1e-10
-        assert experiments._average_entanglement(inst, MIXED_FULL, np.nextafter(x, 0.0)) >= 1e-10
+        assert whole_run_average(inst, MIXED_FULL, x) < 1e-10
+        assert whole_run_average(inst, MIXED_FULL, np.nextafter(x, 0.0)) >= 1e-10
 
 
 def inverse_pairs(n):

@@ -52,3 +52,19 @@ def test_export_lists_name_attributes():
         assert module.__all__, module.__name__
         for name in module.__all__:
             assert hasattr(module, name), (module.__name__, name)
+
+
+def test_pyproject_names_the_package():
+    # the version is stated in pyproject.toml and in the package, and the
+    # console script must name a callable; Python 3.10 has no tomllib, and
+    # an installed package has no pyproject.toml beside its source tree
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.dirname(mixshor.__file__)))
+    path = os.path.join(root, "pyproject.toml")
+    if not os.path.exists(path):
+        pytest.skip("no pyproject.toml beside the source tree")
+    with open(path, "rb") as f:
+        project = tomllib.load(f)["project"]
+    assert project["version"] == mixshor.__version__
+    module, _, attr = project["scripts"]["mixshor"].partition(":")
+    assert callable(getattr(importlib.import_module(module), attr))

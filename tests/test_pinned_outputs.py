@@ -20,6 +20,7 @@ from mixshor.experiments import (
     ensemble_profile,
     extraction_success_mask,
     find_entanglement_crossing,
+    mix_sweep,
     monte_carlo_sweep,
     tree_profile,
 )
@@ -119,9 +120,31 @@ def test_tree_profile_15_2(kind, eps):
     assert float(result.leaf_probs[extraction_success_mask(inst)].sum()) == close(success)
 
 
-def test_entanglement_crossing_10_3_mixed_full():
-    crossing = find_entanglement_crossing(build_instance(10, 3), MIXED_FULL)
-    assert crossing == close(0.33287500000000003)
+# (N, a), every composite N <= 16 with a base of largest order: the
+# entanglement crossings of mixed-full and mixed-n, and the mixed-full
+# success probability at its crossing.  The crossings are compared exactly:
+# each is a grid point or a bisection midpoint, chosen by the decisions
+# of the search alone
+CROSSINGS = {
+    (6, 5): (0.25, 0.5, 0.20816784510491404),
+    (8, 3): (0.0, 0.0, 0.375),
+    (9, 2): (0.4456875, 0.5, 0.050423734556578934),
+    (10, 3): (0.33287500000000003, 0.5, 0.12843561008278678),
+    (12, 5): (0.25, 0.5, 0.1549239878856419),
+    (14, 3): (0.444625, 0.5, 0.0383755638091632),
+    (15, 2): (0.3963125, 0.5, 0.0964461815765488),
+    (16, 3): (0.0, 0.0, 0.25),
+}
+
+
+@pytest.mark.parametrize("N, a", list(CROSSINGS))
+def test_entanglement_crossings(N, a):
+    inst = build_instance(N, a)
+    full, mixed_n, success = CROSSINGS[(N, a)]
+    assert find_entanglement_crossing(inst, MIXED_FULL) == full
+    assert find_entanglement_crossing(inst, MIXED_N) == mixed_n
+    (row,) = mix_sweep(inst, MIXED_FULL, [full])
+    assert row.success_prob == close(success)
 
 
 # kind: whole-run mean avg_logneg and last mixedness of the 4-bit ensemble,
