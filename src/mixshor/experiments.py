@@ -2,9 +2,11 @@
 
 The tree runner enumerates one measurement branch of each
 complex-conjugate pair with the pair's path probability, giving exact
-stage averages and the exact outcome distribution; trees of one N are
-walked together as a trie keyed by their stage multipliers, so a stage
-on which they agree so far is stepped once.  Monte Carlo trajectories
+stage averages and the exact outcome distribution.  It walks the tree
+depth-first over chunks on one stack, so a walk holds O(L) chunks, never
+a whole stage; trees of one N are walked together as a trie keyed by
+their stage multipliers, so a chunk of a stage on which they agree so
+far is stepped once.  Monte Carlo trajectories
 sample measurement results and noise events instead.  Both
 keep each member's work block between stages and run a stage on the
 four control blocks of circuit._stage_blocks, in chunks of a fixed byte
@@ -51,8 +53,9 @@ __all__ = [
 
 # Byte budget of the largest stacked complex array a stepper holds: the
 # tree's (B, d, d) states get B = 32/8/2 at d = 16/32/64, Monte Carlo's
-# (B, d/2, d/2) control blocks B = 128/32/8.  Monte Carlo also draws its
-# uniforms in stretches of whole chunks of at most this many bytes.
+# (B, d/2, d/2) control blocks B = 128/32/8.  The tree's stack holds the
+# work blocks of O(L) such chunks.  Monte Carlo also draws its uniforms
+# in stretches of whole chunks of at most this many bytes.
 CHUNK_BYTES = 1 << 17
 
 _POINT_KINDS = ("post_gate", "post_measure")
@@ -122,41 +125,15 @@ def _tree_steps(group, kind: InitialStateKind, epsilon: float):
     a branch that stands in for its partner, and `c` the outcome bits
     measured so far, bit s with weight 2^s.
 
-    A tree depends on its base only through its stage multipliers
-    (circuit.stage_multipliers): equal multipliers give the same cached
-    array, and the preparation, phase correction, fold and dead-branch
-    rule do not read a.  Instances whose multipliers agree on stages
-    0..s therefore have bitwise equal trees up to stage s, so the group
-    is walked as a trie keyed by the multipliers: each stage is stepped
-    (_stage_steps) once for the instances that agree so far, and the walk
-    forks where they differ.  Each instance gets exactly the chunks of
-    its own walk, in order.  A stage input is held only where the group
-    forks, while the last fork goes on.  Every stage runs at the control's
-    coherence 1 - 2 epsilon, with epsilon checked once, here.
-    """
-    coherence = _coherence(epsilon)
-    inst = group[0]
-    sigma = np.diag(circuit.work_distribution(inst, kind)).astype(complex)[None]
-    pending = [(tuple(range(len(group))), 0, (sigma, np.ones(1), np.zeros(1, dtype=np.int64)))]
-    while pending:
-        owners, first, state = pending.pop()
-        for s in range(first, inst.L):
-            forks = {}
-            for i in owners:
-                forks.setdefault(circuit.stage_multipliers(group[i])[s], []).append(i)
-            *held, owners = map(tuple, forks.values())
-            pending += ((fork, s, state) for fork in held)
-            state = yield from _stage_steps(group[owners[0]], s, state, owners, coherence)
-
-
-def _stage_steps(inst: ShorInstance, s: int, state, owners: tuple, coherence: float):
-    """Step stage s of one node of _tree_steps; returns the next stage's (sigma, probs, c).
-
-    Each stage runs the gates of a chunk of at most CHUNK_BYTES of full
-    states on its control blocks (circuit.run_stage_gates) and measures
-    it on the two diagonal blocks (circuit.measure_control), whose live
-    masks pair each outcome's surviving kids with their path
-    probabilities and records.  Only the kids' work blocks are kept.
+    The walk is depth-first, on one stack of chunks (owners, s, sigma,
+    probs, c) of at most CHUNK_BYTES of full states, so it holds O(L)
+    chunks, never a whole stage.  A chunk runs stage s's gates on its
+    control blocks (circuit.run_stage_gates), is measured on the two
+    diagonal blocks (circuit.measure_control), whose live masks pair
+    each outcome's surviving kids with their probabilities and records,
+    and pushes its kids' work blocks in chunks, the first on top.  The
+    kids must carry the chunk's mass to 1e-9 / 2L, relative, so that the
+    leaves sum to 1 within 1e-9.
 
     Every gate and preparation is real except the phase diag(1,
     exp(-2 pi i theta_s(c))), and theta_s(-c) = 1/2 - theta_s(c) for
@@ -172,37 +149,56 @@ def _stage_steps(inst: ShorInstance, s: int, state, owners: tuple, coherence: fl
     holds 2^(s-1) + 1 branches instead of 2^s.  The fold follows from the
     circuit, not from comparing states, which differ from their partners'
     conjugates by round-off.
+
+    A tree depends on its base only through its stage multipliers
+    (circuit.stage_multipliers): equal multipliers give the same cached
+    array, and the preparation, phase correction, fold and dead-branch
+    rule do not read a.  Instances whose multipliers agree on stages
+    0..s therefore have bitwise equal trees up to stage s, so the group
+    is walked as a trie keyed by the multipliers: a chunk is stepped once
+    for the instances that agree so far, and a chunk whose owners differ
+    at its stage is pushed back once per fork.  Each instance gets
+    exactly the chunks of its own walk, in order.  Every stage runs at
+    the control's coherence 1 - 2 epsilon, with epsilon checked once, here.
     """
-    sigma, probs, c = state
+    coherence = _coherence(epsilon)
+    inst = group[0]
     chunk = _chunk_size(1 << inst.m)
     half = 1 << inst.n
-    twin = 1 << s >> 1 if s else -1  # the record that is its own partner; none at stage 0
-    grown, total = [], 0.0
-    for lo in range(0, probs.size, chunk):
-        part = slice(lo, lo + chunk)
-        chunk_probs, chunk_c = probs[part], c[part]
-        rho = circuit.run_stage_gates(sigma[part], inst, s, chunk_c, coherence)
-        yield owners, 2 * s, chunk_probs, rho, chunk_c
+    sigma = np.diag(circuit.work_distribution(inst, kind)).astype(complex)[None]
+    stack = [(tuple(range(len(group))), 0, sigma, np.ones(1), np.zeros(1, dtype=np.int64))]
+    while stack:
+        owners, s, sigma, probs, c = stack.pop()
+        forks = {}
+        for i in owners:
+            forks.setdefault(circuit.stage_multipliers(group[i])[s], []).append(i)
+        if len(forks) > 1:
+            stack += ((tuple(fork), s, sigma, probs, c) for fork in forks.values())
+            continue
+        rho = circuit.run_stage_gates(sigma, group[owners[0]], s, c, coherence)
+        yield owners, 2 * s, probs, rho, c
+        twin = 1 << s >> 1 if s else -1  # the record that is its own partner; none at stage 0
         kids = []
         branches = circuit.measure_control(rho[:, :half, :half], rho[:, half:, half:])
         for bit, (p, branch) in enumerate(branches):
             if branch is not None:
                 live, kept = branch
-                kid_probs, kid_c = chunk_probs[live] * p[live], chunk_c[live]
+                kid_probs, kid_c = probs[live] * p[live], c[live]
                 folded = kid_c == twin
                 if bit == 0:
                     kid_probs[folded] *= 2.0
                 elif folded.any():
                     kept, kid_probs, kid_c = kept[~folded], kid_probs[~folded], kid_c[~folded]
                 kids.append((kept, kid_probs, kid_c | bit << s))
-        kid_sigma, kid_probs, kid_c = (np.concatenate(x) for x in zip(*kids))
-        yield owners, 2 * s + 1, kid_probs, kid_sigma, kid_c
-        total += kid_probs.sum()
-        if s < inst.L - 1:
-            grown.append((kid_sigma, kid_probs, kid_c))
-    if abs(total - 1.0) > 1e-9:
-        raise RuntimeError(f"leaf probabilities sum to {total} at stage {s}")
-    return tuple(np.concatenate(x) for x in zip(*grown)) if grown else None
+        sigma, kid_probs, c = (np.concatenate(x) for x in zip(*kids))
+        ratio = kid_probs.sum() / probs.sum()
+        if abs(ratio - 1.0) > 1e-9 / (2 * inst.L):
+            raise RuntimeError(f"leaf probabilities sum to {ratio} of their parents' at stage {s}")
+        yield owners, 2 * s + 1, kid_probs, sigma, c
+        if s + 1 < inst.L:
+            for lo in reversed(range(0, kid_probs.size, chunk)):
+                part = slice(lo, lo + chunk)
+                stack.append((owners, s + 1, sigma[part], kid_probs[part], c[part]))
 
 
 def _shannon_entropy(p: np.ndarray) -> float:
@@ -238,8 +234,9 @@ def _tree_profiles(group, kind: InitialStateKind, epsilon: float = 0.0):
     average log-negativity and mixedness at each sampling point, and leaf
     is the (len(group), t) array of outcome distributions, all from one
     _tree_steps walk.  Each chunk's contributions are added to the rows
-    of every instance that owns it, in chunk order, so each row is
-    exactly what the instance sums alone, bit for bit.
+    of every instance that owns it, in the depth-first order of the walk,
+    which is each instance's own walk order, so each row is exactly what
+    the instance sums alone, bit for bit.
     """
     inst = group[0]
     points = 2 * inst.L
@@ -631,15 +628,16 @@ def find_entanglement_crossing(
     decreases monotonically in epsilon; the bracketing grid cell, entangled
     on the left and vanished on the right, is then bisected down to
     `refine_tol`.  Both tolerances must be finite and positive; the
-    refinement also stops at float resolution.
+    refinement also stops at float resolution.  Epsilon = 1/2 is taken
+    as vanished without a walk: at coherence 0 every sigma stays diagonal,
+    by induction over the stages, so every post-gate state is a mixture
+    of |+-><+-| (x) |b><b|, separable, with every negativity exactly 0.
     """
     for name, value in (("threshold", threshold), ("refine_tol", refine_tol)):
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
     if not _entangled(inst, kind, 0.0, threshold):
         return 0.0
-    if _entangled(inst, kind, 0.5, threshold):
-        raise RuntimeError("average entanglement does not vanish at epsilon = 1/2")
     grid_step = 0.002
     lo, hi = 0, round(0.5 / grid_step)
     while hi - lo > 1:

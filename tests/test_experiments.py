@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,17 +46,16 @@ MIXED_FULL = InitialStateKind.MIXED_FULL
 
 
 def _points(steps):
-    """(point, {record: (probability, state)}) per sampling point of a tree stepper.
+    """(point, {record: (probability, state)}) per sampling point of a tree stepper, in order.
 
-    A stepper yields each chunk's two points of a stage in turn, so the
-    chunks are gathered per stage.
+    The chunks of one stage need not follow each other (the engine walks
+    depth-first, the reference stage by stage), so every point's records
+    are gathered over the whole walk.
     """
-    for stage, chunks in itertools.groupby(steps, key=lambda step: step[0] // 2):
-        records = ({}, {})
-        for point, probs, states, c in chunks:
-            records[point % 2].update((int(r), (p, x)) for r, p, x in zip(c, probs, states))
-        yield 2 * stage, records[0]
-        yield 2 * stage + 1, records[1]
+    records = {}
+    for point, probs, states, c in steps:
+        records.setdefault(point, {}).update((int(r), (p, x)) for r, p, x in zip(c, probs, states))
+    return sorted(records.items())
 
 
 def _single_steps(inst, kind, epsilon):
@@ -380,6 +380,48 @@ class TestChunks:
         inst = build_instance(N, a)
         steps = _single_steps(inst, PURE, 0.0)
         assert max(probs.size for point, probs, _, _ in steps if point % 2 == 0) == chunk
+
+    def test_work_ceilings_of_the_4_bit_ensemble(self, monkeypatch):
+        # machine-independent work of ensemble_profile(4, mixed-n): chunks
+        # stepped, eigvalsh calls and the matrices they solve, each at most
+        # what the walk took when these ceilings were set, and one
+        # measurement per chunk
+        work = dict.fromkeys(("chunks", "measures", "calls", "matrices"), 0)
+        gates, measure, eigvalsh = circuit.run_stage_gates, circuit.measure_control, np.linalg.eigvalsh
+
+        def counted_gates(*args):
+            work["chunks"] += 1
+            return gates(*args)
+
+        def counted_measure(*args):
+            work["measures"] += 1
+            return measure(*args)
+
+        def counted_eigvalsh(a, *args, **kwargs):
+            work["calls"] += 1
+            work["matrices"] += int(np.prod(np.shape(a)[:-2]))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(circuit, "run_stage_gates", counted_gates)
+        monkeypatch.setattr(circuit, "measure_control", counted_measure)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        experiments.ensemble_profile(4, MIXED_N)
+        assert 0 < work["chunks"] <= 103
+        assert work["measures"] == work["chunks"]
+        assert 0 < work["calls"] <= 679
+        assert 0 < work["matrices"] <= 21137
+
+    def test_walk_holds_no_whole_stage(self):
+        # the depth-first walk holds a few chunks per stage: (27, 2) steps
+        # 64 x 64 states in chunks of 2, while the 257 work blocks of its
+        # last stage alone take 4.2 MB
+        tracemalloc.start()
+        try:
+            tree_leaf_distribution(build_instance(27, 2), MIXED_FULL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 def oracle_pairs():
@@ -876,6 +918,28 @@ class TestCrossing:
         calls.clear()
         assert not experiments._entangled(inst, MIXED_FULL, 0.5, CLAMP_TOL)
         assert len(calls) == walk
+
+    @pytest.mark.parametrize(
+        "N, bases", [(n, coprime_list(n)) for n in range(6, 17) if not is_prime(n)] + [(21, [2])]
+    )
+    def test_nothing_is_entangled_at_half(self, N, bases):
+        # the search takes epsilon = 1/2 as vanished without a walk: at
+        # coherence 0 every sigma stays diagonal, so every post-gate state
+        # is a mixture of |+-><+-| (x) |b><b|, which is separable
+        for a, kind in itertools.product(bases, InitialStateKind):
+            assert not experiments._entangled(build_instance(N, a), kind, 0.5, CLAMP_TOL), (a, kind)
+
+    @pytest.mark.parametrize("N", [8, 16])
+    def test_no_negativity_for_mixed_powers_of_two(self, N):
+        # at N = 8 and 16 the mixed kinds show no negativity at any
+        # sampling point, unmixed, for every base, while the pure register
+        # shows some; no negativity is not separability beyond 2 x 3
+        for a in coprime_list(N):
+            inst = build_instance(N, a)
+            for kind in (MIXED_N, MIXED_FULL):
+                reports = tree_profile(inst, kind).reports
+                assert [r.avg_logneg for r in reports] == [0.0] * len(reports), (a, kind)
+            assert max(r.avg_logneg for r in tree_profile(inst, PURE).reports) > 0.0, a
 
     def test_crossing_is_bracketed(self):
         # cheap instance: the located crossing separates positive from zero

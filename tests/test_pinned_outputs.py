@@ -22,6 +22,7 @@ from mixshor.experiments import (
     find_entanglement_crossing,
     mix_sweep,
     monte_carlo_sweep,
+    tree_leaf_distribution,
     tree_profile,
 )
 from mixshor.noise import MEASUREMENT, PAULI, NoiseConfig
@@ -145,6 +146,28 @@ def test_entanglement_crossings(N, a):
     assert find_entanglement_crossing(inst, MIXED_N) == mixed_n
     (row,) = mix_sweep(inst, MIXED_FULL, [full])
     assert row.success_prob == close(success)
+
+
+# (N, a) for every composite N in 6..31: the base of largest order (the
+# smallest on ties) and N - 1, the pairs of the leaf_sweep benchmark
+LEAF_PAIRS = [
+    (6, 5), (8, 3), (8, 7), (9, 2), (9, 8), (10, 3), (10, 9), (12, 5), (12, 11),
+    (14, 3), (14, 13), (15, 2), (15, 14), (16, 3), (16, 15), (18, 5), (18, 17),
+    (20, 3), (20, 19), (21, 2), (21, 20), (22, 7), (22, 21), (24, 5), (24, 23),
+    (25, 2), (25, 24), (26, 7), (26, 25), (27, 2), (27, 26), (28, 3), (28, 27),
+    (30, 7), (30, 29),
+]
+
+# sha256 over the little-endian leaf distributions of LEAF_PAIRS, every kind
+# in InitialStateKind order, recorded while the tree was walked stage by stage
+LEAVES = "dc74f5eac93d5aa058aa338f9d81396817b628ea674b2edcd02eafe999ea7e8d"
+
+
+def test_leaf_distributions_bit_for_bit():
+    digest = hashlib.sha256()
+    for (N, a), kind in itertools.product(LEAF_PAIRS, InitialStateKind):
+        digest.update(tree_leaf_distribution(build_instance(N, a), kind).astype("<f8").tobytes())
+    assert digest.hexdigest() == LEAVES
 
 
 # kind: whole-run mean avg_logneg and last mixedness of the 4-bit ensemble,
