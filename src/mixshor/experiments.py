@@ -131,9 +131,9 @@ def _tree_steps(group, kind: InitialStateKind, epsilon: float):
     control blocks (circuit.run_stage_gates), is measured on the two
     diagonal blocks (circuit.measure_control), whose live masks pair
     each outcome's surviving kids with their probabilities and records,
-    and pushes its kids' work blocks in chunks, the first on top.  The
-    kids must carry the chunk's mass to 1e-9 / 2L, relative, so that the
-    leaves sum to 1 within 1e-9.
+    folds the kids on their records and pushes them in chunks, the first
+    on top.  The kids must carry the chunk's mass to 1e-9 / 2L, relative,
+    so that the leaves sum to 1 within 1e-9.
 
     Every gate and preparation is real except the phase diag(1,
     exp(-2 pi i theta_s(c))), and theta_s(-c) = 1/2 - theta_s(c) for
@@ -143,12 +143,12 @@ def _tree_steps(group, kind: InitialStateKind, epsilon: float):
     the same probability and the conjugate work block, and the kid of c
     with bit m is the partner of the kid of -c with bit 1 - m.  Negativity
     and entropy are blind to conjugation and to a local X, so each pair
-    needs one branch.  The record 2^(s-1) is its own partner and its two
-    kids are each other's: only its bit-0 kid is kept, with twice the
-    path probability.  Every other branch keeps both kids, so a stage
-    holds 2^(s-1) + 1 branches instead of 2^s.  The fold follows from the
-    circuit, not from comparing states, which differ from their partners'
-    conjugates by round-off.
+    needs one branch.  The record 2^(s-1) is its own partner mod 2^s, so
+    its kids 2^(s-1) and 3 2^(s-1) are each other's mod 2^(s+1): the fold
+    keeps the kid 2^(s-1) with twice its probability and drops the kid
+    3 2^(s-1).  Every other kid stands in for its partner, so a stage holds
+    2^(s-1) + 1 branches instead of 2^s.  The fold reads the records only,
+    not the states, which differ from their partners' conjugates by round-off.
 
     A tree depends on its base only through its stage multipliers
     (circuit.stage_multipliers): equal multipliers give the same cached
@@ -177,20 +177,18 @@ def _tree_steps(group, kind: InitialStateKind, epsilon: float):
             continue
         rho = circuit.run_stage_gates(sigma, group[owners[0]], s, c, coherence)
         yield owners, 2 * s, probs, rho, c
-        twin = 1 << s >> 1 if s else -1  # the record that is its own partner; none at stage 0
-        kids = []
         branches = circuit.measure_control(rho[:, :half, :half], rho[:, half:, half:])
+        kids = []
         for bit, (p, branch) in enumerate(branches):
             if branch is not None:
                 live, kept = branch
-                kid_probs, kid_c = probs[live] * p[live], c[live]
-                folded = kid_c == twin
-                if bit == 0:
-                    kid_probs[folded] *= 2.0
-                elif folded.any():
-                    kept, kid_probs, kid_c = kept[~folded], kid_probs[~folded], kid_c[~folded]
-                kids.append((kept, kid_probs, kid_c | bit << s))
+                kids.append((kept, probs[live] * p[live], c[live] | bit << s))
         sigma, kid_probs, c = (np.concatenate(x) for x in zip(*kids))
+        if s:  # the fold: kid 2^(s-1) stands in for its partner 3 2^(s-1)
+            kid_probs[c == 1 << s >> 1] *= 2.0
+            keep = c != 3 << s >> 1
+            if not keep.all():
+                sigma, kid_probs, c = sigma[keep], kid_probs[keep], c[keep]
         ratio = kid_probs.sum() / probs.sum()
         if abs(ratio - 1.0) > 1e-9 / (2 * inst.L):
             raise RuntimeError(f"leaf probabilities sum to {ratio} of their parents' at stage {s}")
@@ -220,7 +218,7 @@ def tree_profile(inst: ShorInstance, kind: InitialStateKind, epsilon: float = 0.
     unitary and the re-prepared control is independent of the work
     register, so the mixedness after stage s's gates is the report
     before it (at stage 0, the Shannon entropy of the work distribution)
-    plus h2(epsilon) times the path mass of the stage.
+    plus h2(epsilon).
     Noisy runs go through monte_carlo_sweep.
     """
     e, s, leaf = _tree_profiles((inst,), kind, epsilon)
@@ -249,12 +247,10 @@ def _tree_profiles(group, kind: InitialStateKind, epsilon: float = 0.0):
         e_av[rows, point] += probs @ entanglement._point_entanglement(states, post_measure)
         if post_measure:
             s_av[rows, point] += probs @ entanglement.mixedness(states)
-        else:
-            s_av[rows, point] += h2 * probs.sum()
         if point == points - 1:
             leaf[rows] += _spread_leaves(c, probs, inst.t)
-    s_av[:, 0] += _shannon_entropy(circuit.work_distribution(inst, kind))
-    s_av[:, 2::2] += s_av[:, 1:-1:2]
+    s_av[:, 0] = _shannon_entropy(circuit.work_distribution(inst, kind)) + h2
+    s_av[:, 2::2] = s_av[:, 1:-1:2] + h2
     s_av[s_av < entanglement.CLAMP_TOL] = 0.0  # round-off, as in mixedness
     return e_av, s_av, leaf
 
@@ -294,7 +290,9 @@ def _spread_leaves(c: np.ndarray, probs: np.ndarray, t: int) -> np.ndarray:
 
 
 def ensemble_instances(bits: int) -> list[ShorInstance]:
-    """All (N, a) instances with N a `bits`-digit semiprime and a coprime."""
+    """All (N, a) instances with N a `bits`-digit semiprime and a coprime, for bits 4 or 5."""
+    if bits not in (4, 5):
+        raise ValueError("ensembles are defined for 4- and 5-digit numbers")
     return [
         circuit.build_instance(N, a)
         for N in numtheory.semiprime_list(bits)
@@ -332,8 +330,6 @@ def ensemble_profile(bits: int, kind: InitialStateKind) -> list[StageReport]:
     tree_profile, and the weighted rows are added one tree at a time,
     from 0.0 in stepping order, then divided once by the ensemble size.
     """
-    if bits not in (4, 5):
-        raise ValueError("ensemble profiles are defined for 4- and 5-digit numbers")
     weights: dict[ShorInstance, int] = {}
     for inst in ensemble_instances(bits):
         if _commutes_with_multiplication(inst, kind):

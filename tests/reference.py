@@ -8,8 +8,10 @@ them, through the public gate kernels of `mixshor.circuit`
 the engines' block forms replace.  Both full-state walks take the phase
 correction from `phase_correction_angle`, a sum over the measured bits,
 not from the engines' closed form over the outcome.  `sector_distribution`
-is a closed form instead, the oracle of the mixed-control outcome
-distribution, and `run_rng` is numpy's generator of a Monte Carlo run's
+and `branch_oracle` are closed forms instead, built on their own walk of
+the multiplication's cycles: the oracles of the mixed-control outcome
+distribution and of each branch's work block.  `run_rng` is numpy's
+generator of a Monte Carlo run's
 stream, the one the vectorized draw of the sweeps must equal.
 `reference_block_plan` is the block plan of the entanglement measures
 before it summed positive blocks by their diagonal: it solves every
@@ -20,6 +22,7 @@ states against.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -216,6 +219,25 @@ def reference_trajectory(inst, kind, cfg, rng):
     return sum(bit << s for s, (bit, _) in enumerate(reference_stages(inst, kind, cfg, rng)))
 
 
+def _cycles(inst):
+    """The cycles of b -> a b mod N on the work register, each from its least element.
+
+    Every b >= N is a fixed point; those come first, then the cycles
+    through 0..N-1 in the order of their least elements.
+    """
+    cycles = [[b] for b in range(inst.N, 1 << inst.n)]
+    seen = set()
+    for start in range(inst.N):
+        if start in seen:
+            continue
+        cycle = [start]
+        while (nxt := inst.a * cycle[-1] % inst.N) != start:
+            cycle.append(nxt)
+        seen.update(cycle)
+        cycles.append(cycle)
+    return cycles
+
+
 def sector_distribution(inst, kind, eps):
     """Outcome distribution over c at control mixing eps, in closed form, one eigenphase at a time.
 
@@ -231,17 +253,11 @@ def sector_distribution(inst, kind, eps):
     (-1/2, 1) and loses no digits to a large argument.
     """
     weights = work_distribution(inst, kind)
-    sectors = [(0, 1, weights[b]) for b in range(inst.N, 1 << inst.n)]
-    seen = set()
-    for start in range(inst.N):
-        if start in seen:
-            continue
-        cycle = [start]
-        while (nxt := inst.a * cycle[-1] % inst.N) != start:
-            cycle.append(nxt)
-        seen.update(cycle)
-        r = len(cycle)
-        sectors += [(k, r, weights[cycle].sum() / r) for k in range(r)]
+    sectors = [
+        (k, len(cycle), weights[cycle].sum() / len(cycle))
+        for cycle in _cycles(inst)
+        for k in range(len(cycle))
+    ]
     c = np.arange(inst.t)
     probs = np.zeros(inst.t)
     for k, r, mass in sectors:
@@ -252,6 +268,61 @@ def sector_distribution(inst, kind, eps):
             p *= 0.5 * (1 + sign * (1 - 2 * eps) * np.cos(2 * np.pi * beta))
         probs += mass * p
     return probs
+
+
+@lru_cache(maxsize=None)
+def _eigenbasis(inst):
+    """The eigenbasis V of U_a (b -> a b mod N) with each column's (k, r): its phase is k/r.
+
+    Column |psi_k> = r^-1/2 sum_j e^(-2 pi i j k / r) |a^j b_0> for a
+    cycle b_0, a b_0, ... of length r, so U_a |psi_k> = e^(2 pi i k / r) |psi_k>.
+    """
+    dim = 1 << inst.n
+    V = np.zeros((dim, dim), dtype=complex)
+    k, r = np.zeros(dim, dtype=np.int64), np.ones(dim, dtype=np.int64)
+    col = 0
+    for cycle in _cycles(inst):
+        size = len(cycle)
+        cols = slice(col, col + size)
+        j = np.arange(size)
+        V[cycle, cols] = np.exp(-2j * np.pi * np.outer(j, j) / size) / np.sqrt(size)
+        k[cols], r[cols] = j, size
+        col += size
+    for array in (V, k, r):
+        array.flags.writeable = False
+    return V, k, r
+
+
+def branch_oracle(inst, kind, eps, c, bits):
+    """The work block sigma of record c after `bits` measured stages, in closed form, and its probability.
+
+    In the eigenbasis V of U_a (_eigenbasis, phases phi_k = k/r), every
+    gate of stage s is diagonal or acts on the control, so the stage and
+    its measured bit m = bit s of c multiply the work block S = V^dagger
+    sigma V entrywise (Griffiths & Niu, PRL 76, 3228, 1996; Parker &
+    Plenio, PRL 85, 3049, 2000): S <- S o G / tr(S o G), with
+    G_kl = 1/4 [1 + e^(2 pi i (beta_k - beta_l))
+                + (-1)^m (1 - 2 eps) (e^(2 pi i beta_k) + e^(-2 pi i beta_l))],
+    beta_k = 2^(L-1-s) phi_k - theta_s(c) and theta_s(c) = (c mod 2^s) / 2^(s+1),
+    2^(L-1-s) k reduced mod r in integers as in sector_distribution.
+    tr(S o G) is the probability of bit m given the record so far, so the
+    stages' normalizations multiply out: with S_0 from the initial work
+    state and P = S_0 o G_0 o ... o G_(bits-1), the record's path
+    probability is p = tr P, the product of those probabilities, and the
+    work block is V (P / p) V^dagger.  Returns the work block and p, the
+    probability of the record c alone, with no partner folded in.  Reads
+    only the instance's fields, work_distribution and the bits of c.
+    """
+    V, k, r = _eigenbasis(inst)
+    s = np.arange(bits)[:, None, None]
+    beta = ((k[:, None] << (inst.L - 1 - s)) % r[:, None]) / r[:, None] - (c % (1 << s)) / (2 << s)
+    turn = np.exp(2j * np.pi * beta)  # (bits, d, 1): e^(2 pi i beta_k) per stage
+    back = turn.conj().transpose(0, 2, 1)  # (bits, 1, d): e^(-2 pi i beta_l)
+    sign = 1 - 2 * ((c >> s) & 1)
+    G = 0.25 * (1 + turn * back + sign * (1 - 2 * eps) * (turn + back))
+    P = (V.conj().T @ np.diag(work_distribution(inst, kind)) @ V) * G.prod(axis=0)
+    p = np.trace(P).real
+    return V @ (P / p) @ V.conj().T, p
 
 
 def _transpose_map(dim: int, subset: tuple[int, ...]) -> np.ndarray:

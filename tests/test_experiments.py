@@ -30,6 +30,7 @@ from mixshor.numtheory import coprime_list, is_prime
 
 from reference import (
     assert_valid_state,
+    branch_oracle,
     explicit_tree,
     measure_control,
     reference_stages,
@@ -874,6 +875,24 @@ class TestSectorOracle:
             expected = sector_distribution(inst, kind, row.epsilon)[mask].sum()
             assert abs(row.success_prob - expected) < 1e-12, row.epsilon
 
+    @pytest.mark.parametrize("N, a", [(6, 5), (15, 2), (21, 2)])
+    def test_branch_states_match_closed_form(self, N, a):
+        # every post-measure work block of the folded walk against
+        # branch_oracle, which shares no kernel with the engine; a kept
+        # record stands in for its partner -c mod 2^(s+1) unless it is its own
+        inst = build_instance(N, a)
+        for kind, eps in itertools.product(InitialStateKind, (0.0, 0.25)):
+            for point, probs, states, c in _single_steps(inst, kind, eps):
+                if point % 2 == 0:
+                    continue
+                bits = point // 2 + 1
+                for p, sigma, record in zip(probs, states, c.tolist()):
+                    where = (kind, eps, point, record)
+                    expected, path = branch_oracle(inst, kind, eps, record, bits)
+                    assert np.max(np.abs(sigma - expected)) * path <= 1e-12, where
+                    partners = 1 if -record % (1 << bits) == record else 2
+                    assert abs(p - partners * path) <= 1e-12, where
+
     def test_zero_mixing_is_the_oracle(self):
         for N, a in ((14, 3), (21, 2)):
             inst = build_instance(N, a)
@@ -1034,6 +1053,16 @@ class TestEnsemble:
         instances = ensemble_instances(4)
         assert sorted({inst.N for inst in instances}) == [9, 10, 14, 15]
         assert len(instances) == 20
+
+    @pytest.mark.parametrize("bits", [2, 3, 6])
+    def test_bits_outside_the_ensemble_name_the_domain(self, bits, monkeypatch):
+        # 3 bits would reach N = 4 and 6 bits N = 33, outside build_instance's
+        # range, and 2 bits semiprime_list's; the error names the ensemble's
+        # domain instead, before any tree is walked
+        monkeypatch.setattr(experiments, "_tree_steps", None)
+        for ensemble in (ensemble_instances, lambda b: experiments.ensemble_profile(b, MIXED_N)):
+            with pytest.raises(ValueError, match="defined for 4- and 5-digit numbers"):
+                ensemble(bits)
 
     def test_profile_shape_and_positivity(self):
         # the pure computer stays pure: every member entropy is round-off

@@ -22,6 +22,8 @@ from mixshor.experiments import (
     find_entanglement_crossing,
     mix_sweep,
     monte_carlo_sweep,
+    random_baseline,
+    success_probability_exact,
     tree_leaf_distribution,
     tree_profile,
 )
@@ -146,6 +148,23 @@ def test_entanglement_crossings(N, a):
     assert find_entanglement_crossing(inst, MIXED_N) == mixed_n
     (row,) = mix_sweep(inst, MIXED_FULL, [full])
     assert row.success_prob == close(success)
+
+
+@pytest.mark.parametrize("N, a", [(N, a) for (N, a), row in CROSSINGS.items() if row[0] > 0.0])
+def test_mixing_to_the_crossing_keeps_an_advantage_only_for_dyadic_orders(N, a):
+    # the abstract's trade-off: the share of the mixed-full advantage over
+    # uniform guessing kept at the crossing, (s(eps*) - b) / (s(0) - b).
+    # Mixing the entanglement away leaves none of it, within 0.1 either
+    # way, when the order r is not a power of two, and some when it is
+    inst = build_instance(N, a)
+    baseline = random_baseline(inst)
+    kept = (CROSSINGS[(N, a)][2] - baseline) / (
+        success_probability_exact(inst, MIXED_FULL) - baseline
+    )
+    if inst.r & (inst.r - 1):
+        assert abs(kept) <= 0.1, kept
+    else:
+        assert kept > 0.0, kept
 
 
 # (N, a) for every composite N in 6..31: the base of largest order (the
